@@ -177,11 +177,15 @@ func (s Stats) LossPercent() units.Percent {
 
 // frameDone is a pooled completion record for one in-flight frame: the
 // state its kernel event needs, carried through AtArg instead of a
-// per-frame closure. Records recycle through Engine.doneFree, so the
+// per-frame closure. The delivered frame's bytes are only borrowed, so
+// the record keeps its own copy of the stored prefix in data. Records
+// recycle through Engine.doneFree with their buffers, so the
 // steady-state per-frame path allocates nothing.
 type frameDone struct {
 	core   *coreState
-	frame  switchsim.Frame
+	data   []byte // the first stored bytes of the frame
+	noData bool   // rate-only frame: the pcap record is zero-filled
+	size   int    // wire length
 	stored int
 	slot   int64
 	next   *frameDone
@@ -398,7 +402,9 @@ func (e *Engine) DeliverFrame(now sim.Time, f switchsim.Frame) {
 		e.doneFree = fd.next
 	}
 	fd.core = core
-	fd.frame = f
+	fd.noData = f.Data == nil
+	fd.data = append(fd.data[:0], f.Data[:min(len(f.Data), stored)]...)
+	fd.size = f.Size
 	fd.stored = stored
 	fd.slot = slotBytes
 	e.sched.AtArg(done, e.doneFn, fd)
@@ -426,16 +432,13 @@ func (e *Engine) frameDone(a any) {
 	e.mCaptured.IncAt(now)
 	e.mStoredBytes.AddAt(int64(fd.stored), now)
 	if e.cfg.Writer != nil {
-		data := fd.frame.Data
-		if data == nil {
+		data := fd.data
+		if fd.noData {
 			data = make([]byte, fd.stored)
-		} else if len(data) > fd.stored {
-			data = data[:fd.stored]
 		}
-		_ = e.cfg.Writer.WriteRecord(int64(now), data, fd.frame.Size)
+		_ = e.cfg.Writer.WriteRecord(int64(now), data, fd.size)
 	}
 	fd.core = nil
-	fd.frame = switchsim.Frame{} // drop the data reference before pooling
 	fd.next = e.doneFree
 	e.doneFree = fd
 }

@@ -225,6 +225,44 @@ func TestPcapOutputTruncated(t *testing.T) {
 	}
 }
 
+// TestDeliverFrameBorrowsData pins the switchsim.Frame contract from the
+// receiver side: DeliverFrame may only borrow f.Data, so overwriting the
+// caller's bytes while the frame still waits for its core must not
+// change the pcap record.
+func TestDeliverFrameBorrowsData(t *testing.T) {
+	var buf bytes.Buffer
+	w, err := pcap.NewWriter(&buf, pcap.FileHeader{SnapLen: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	k, e := newEngine(t, Config{Method: MethodDPDK, SnapLen: 200, Writer: w})
+	src := make([]byte, 300)
+	for i := range src {
+		src[i] = byte(i)
+	}
+	want := bytes.Clone(src[:200])
+	e.DeliverFrame(0, switchsim.NewFrame(src))
+	if e.CoreSnapshots()[0].Queued != 1 {
+		t.Fatal("frame should still be queued")
+	}
+	for i := range src {
+		src[i] = 0xEE
+	}
+	k.Run()
+	e.Flush()
+	rd, err := pcap.NewReader(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := rd.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.Data, want) || rec.OriginalLength != 300 {
+		t.Errorf("record = % x... (%d/%d), want the bytes delivered", rec.Data[:8], len(rec.Data), rec.OriginalLength)
+	}
+}
+
 func TestStorageStallCausesLoss(t *testing.T) {
 	// With tight dirty thresholds and slow storage, the writev stalls
 	// must translate into Rx-queue drops that would not occur otherwise.

@@ -11,6 +11,15 @@ import (
 // switch ports, so that mirrored ports have something to capture. It
 // stands in for the other researchers' experiments running on the
 // testbed: Patchwork itself never generates the traffic it profiles.
+//
+// The steady-state path allocates nothing per frame. Each window's
+// frames are generated into one FrameArena and described by records in
+// one reused slice; both are recycled at the next window event. That is
+// safe because every frame due at or before the window's end was
+// scheduled before the next window event, so it fires first even at an
+// equal timestamp. The few frames due after the window's end (a late
+// ACK, SYN-ACK or response) get a pooled record owning a copy of their
+// bytes instead.
 type TrafficDriver struct {
 	sched sim.Scheduler
 	site  *testbed.Site
@@ -25,6 +34,26 @@ type TrafficDriver struct {
 	Window sim.Duration
 
 	stopped bool
+	armed   bool // a window event is pending
+
+	arena    *trafficgen.FrameArena
+	sample   []trafficgen.TimedFrame // SampleInto scratch
+	recs     []driverFrame           // the current window's frames
+	spare    *driverFrame            // free list of straggler records
+	fireFn   func(any)
+	windowFn func()
+}
+
+// driverFrame is one scheduled frame: the AtArg argument of
+// TrafficDriver.fire. Records of in-window frames live in
+// TrafficDriver.recs and borrow arena bytes; straggler records own a
+// copy and recycle through TrafficDriver.spare.
+type driverFrame struct {
+	data       []byte
+	port, peer string
+	dir        trafficgen.Dir
+	straggler  bool
+	next       *driverFrame
 }
 
 // NewTrafficDriver builds a driver for one site, scheduling on k — the
@@ -40,55 +69,96 @@ func NewTrafficDriver(k sim.Scheduler, site *testbed.Site, gen *trafficgen.Gener
 		}
 		activePorts = activePorts[:(len(activePorts)+1)/2]
 	}
-	return &TrafficDriver{
+	d := &TrafficDriver{
 		sched: k, site: site, gen: gen,
 		ActivePorts:  activePorts,
 		WindowFrames: 400,
 		Window:       sim.Second,
+		arena:        trafficgen.NewFrameArena(),
 	}
+	d.fireFn = d.fire
+	d.windowFn = d.window
+	return d
 }
 
 // Start begins injecting traffic until Stop is called. Each window, every
 // active port receives an independent flow sample; a frame's forward
 // direction counts as Rx on the source port and Tx on a peer port,
-// matching how a frame between two VMs crosses the switch.
+// matching how a frame between two VMs crosses the switch. Starting a
+// driver whose next window is still pending only cancels a prior Stop.
 func (d *TrafficDriver) Start() {
 	d.stopped = false
-	d.window()
+	if !d.armed {
+		d.window()
+	}
 }
 
 // Stop halts traffic generation after the current window.
 func (d *TrafficDriver) Stop() { d.stopped = true }
 
 func (d *TrafficDriver) window() {
+	d.armed = false
 	if d.stopped || len(d.ActivePorts) == 0 {
 		return
 	}
 	base := d.sched.Now()
+	d.arena.Reset()
+	d.recs = d.recs[:0]
 	for pi, port := range d.ActivePorts {
-		frames, err := d.gen.Sample(trafficgen.SampleConfig{
+		frames, err := d.gen.SampleInto(trafficgen.SampleConfig{
 			Duration:  d.Window,
 			MaxFrames: d.WindowFrames,
 			FlowCount: 2 + pi%5,
-		})
+		}, d.sample[:0], d.arena.Alloc)
 		if err != nil {
 			continue
 		}
-		port := port
+		d.sample = frames
 		peer := d.ActivePorts[(pi+1)%len(d.ActivePorts)]
 		for _, tf := range frames {
-			tf := tf
-			d.sched.At(base+tf.At, func() {
-				f := switchsim.NewFrame(tf.Data)
-				if tf.Dir == trafficgen.DirForward {
-					_ = d.site.Switch.Transit(port, switchsim.DirRx, f)
-					_ = d.site.Switch.Transit(peer, switchsim.DirTx, f)
-				} else {
-					_ = d.site.Switch.Transit(peer, switchsim.DirRx, f)
-					_ = d.site.Switch.Transit(port, switchsim.DirTx, f)
-				}
-			})
+			var r *driverFrame
+			if tf.At > d.Window {
+				r = d.straggler(tf.Data)
+			} else {
+				d.recs = append(d.recs, driverFrame{data: tf.Data})
+				r = &d.recs[len(d.recs)-1]
+			}
+			r.port, r.peer, r.dir = port, peer, tf.Dir
+			d.sched.AtArg(base+tf.At, d.fireFn, r)
 		}
 	}
-	d.sched.At(base+d.Window, d.window)
+	d.sched.At(base+d.Window, d.windowFn)
+	d.armed = true
+}
+
+// straggler returns a pooled record holding its own copy of data, for a
+// frame that fires after the next window event has recycled the arena.
+func (d *TrafficDriver) straggler(data []byte) *driverFrame {
+	r := d.spare
+	if r == nil {
+		r = &driverFrame{straggler: true}
+	} else {
+		d.spare = r.next
+	}
+	r.data = append(r.data[:0], data...)
+	return r
+}
+
+// fire crosses one frame over the switch (the AtArg callback). Transit
+// borrows the bytes only for the call, so a straggler record is free
+// for reuse as soon as it returns.
+func (d *TrafficDriver) fire(a any) {
+	r := a.(*driverFrame)
+	f := switchsim.NewFrame(r.data)
+	if r.dir == trafficgen.DirForward {
+		_ = d.site.Switch.Transit(r.port, switchsim.DirRx, f)
+		_ = d.site.Switch.Transit(r.peer, switchsim.DirTx, f)
+	} else {
+		_ = d.site.Switch.Transit(r.peer, switchsim.DirRx, f)
+		_ = d.site.Switch.Transit(r.port, switchsim.DirTx, f)
+	}
+	if r.straggler {
+		r.next = d.spare
+		d.spare = r
+	}
 }

@@ -3,8 +3,10 @@ package patchwork
 import (
 	"bytes"
 	"compress/gzip"
+	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/capture"
 	"repro/internal/hostsim"
@@ -111,7 +113,9 @@ func (b *Bundle) DecompressPcaps() ([][]byte, error) {
 		if err != nil {
 			return nil, fmt.Errorf("patchwork: bundle pcap %d: %w", i, err)
 		}
-		var buf bytes.Buffer
+		// ReadFrom wants MinRead spare bytes before it sees EOF; without
+		// them a buffer sized exactly would double on the final read.
+		buf := bytes.NewBuffer(make([]byte, 0, gzipSizeHint(cp)+bytes.MinRead))
 		if _, err := buf.ReadFrom(zr); err != nil {
 			return nil, fmt.Errorf("patchwork: bundle pcap %d: %w", i, err)
 		}
@@ -121,6 +125,23 @@ func (b *Bundle) DecompressPcaps() ([][]byte, error) {
 		out = append(out, buf.Bytes())
 	}
 	return out, nil
+}
+
+// maxDeflateRatio bounds how far a deflate stream can expand: the
+// longest match emits 258 bytes and costs at least two bits.
+const maxDeflateRatio = 1032
+
+// gzipSizeHint reads the decompressed size a gzip stream claims in its
+// ISIZE trailer (the last four bytes, the length mod 2^32). The claim is
+// unverified until the stream is read, so it is clamped to the most the
+// compressed bytes could expand to: a lying trailer cannot force a huge
+// allocation, and the reader reports the mismatch as ErrChecksum.
+func gzipSizeHint(gz []byte) int {
+	if len(gz) < 4 {
+		return 0
+	}
+	n := int64(binary.LittleEndian.Uint32(gz[len(gz)-4:]))
+	return int(min(n, maxDeflateRatio*int64(len(gz))))
 }
 
 // siteInstance runs the per-site profiling workflow. One siteInstance
@@ -858,19 +879,45 @@ func (si *siteInstance) harvestCycle() {
 			continue
 		}
 		si.totalStored += eng.Stats.StoredBytes
-		var z bytes.Buffer
-		zw := gzip.NewWriter(&z)
-		if _, err := zw.Write(buf.Bytes()); err != nil {
-			si.logf(LevelError, "gather: compressing pcap: %v", err)
+		z, err := compressPcap(buf.Bytes())
+		if err != nil {
+			si.logf(LevelError, "gather: %v", err)
 			continue
 		}
-		if err := zw.Close(); err != nil {
-			si.logf(LevelError, "gather: closing gzip: %v", err)
-			continue
-		}
-		si.bundle.CompressedPcaps = append(si.bundle.CompressedPcaps, z.Bytes())
+		si.bundle.CompressedPcaps = append(si.bundle.CompressedPcaps, z)
 	}
 	si.engines, si.writers, si.bufs = nil, nil, nil
+}
+
+// gzipScratch is a pooled compressor plus its output buffer. A gzip
+// writer carries about a megabyte of state, so harvests share a pool
+// sized by how many run at once rather than keeping one per site.
+type gzipScratch struct {
+	out bytes.Buffer
+	zw  *gzip.Writer
+}
+
+var gzipPool = sync.Pool{New: func() any {
+	s := new(gzipScratch)
+	s.zw = gzip.NewWriter(&s.out)
+	return s
+}}
+
+// compressPcap gzips one pcap stream and returns an exact-size copy of
+// the compressed bytes. A reset writer emits the same bytes as a fresh
+// one, so pooling leaves bundles unchanged.
+func compressPcap(pcap []byte) ([]byte, error) {
+	s := gzipPool.Get().(*gzipScratch)
+	defer gzipPool.Put(s)
+	s.out.Reset()
+	s.zw.Reset(&s.out)
+	if _, err := s.zw.Write(pcap); err != nil {
+		return nil, fmt.Errorf("compressing pcap: %w", err)
+	}
+	if err := s.zw.Close(); err != nil {
+		return nil, fmt.Errorf("closing gzip: %w", err)
+	}
+	return bytes.Clone(s.out.Bytes()), nil
 }
 
 func (si *siteInstance) notePortSampled(p string) {

@@ -23,46 +23,15 @@ func init() {
 // profile corpus (the paper's S0-S29).
 const profileCorpusSites = 30
 
-// corpus builds the multi-site acap corpus behind the Section 8.2
-// figures the materialize-everything way. The figures themselves run on
-// streamDigest; this stays as the in-memory baseline the equivalence
-// tests compare against.
+// streamDigest builds the multi-site corpus behind the Section 8.2
+// figures and runs it through the streaming digester in a single pass.
 // flowCount > 0 pins the number of flows per sample (long flow snippets,
 // as a 20s line-rate capture sees); flowCount == 0 draws it from the
-// site's profile (for the flow-count figure).
-func corpus(seed uint64, samplesPerSite, framesPerSample, flowCount int) ([]*analysis.Acap, error) {
-	profiles := trafficgen.MakeSiteProfiles(seed, profileCorpusSites)
-	var acaps []*analysis.Acap
-	for i, p := range profiles {
-		gen := trafficgen.NewGenerator(p, seed*1000+uint64(i))
-		for s := 0; s < samplesPerSite; s++ {
-			frames, err := gen.Sample(trafficgen.SampleConfig{
-				Duration:  20 * sim.Second,
-				MaxFrames: framesPerSample,
-				FlowCount: flowCount,
-			})
-			if err != nil {
-				return nil, err
-			}
-			a := &analysis.Acap{Site: p.Site, SampleStartNanos: int64(s) * int64(5*sim.Minute)}
-			for _, tf := range frames {
-				stored := tf.Data
-				if len(stored) > 200 {
-					stored = stored[:200]
-				}
-				a.Records = append(a.Records, analysis.DigestFrame(int64(tf.At), stored, len(tf.Data)))
-			}
-			acaps = append(acaps, a)
-		}
-	}
-	return acaps, nil
-}
-
-// streamDigest runs the same corpus as corpus() through the streaming
-// digester in a single pass: frames are generated into a recycled arena,
-// digested, and dropped — nothing proportional to the corpus size stays
-// resident. The flow table's hot set is bounded; the figures never read
-// exact aggregates, so spilled rows are dropped rather than written out.
+// site's profile (for the flow-count figure). Frames are generated into
+// a recycled arena, digested, and dropped — nothing proportional to the
+// corpus size stays resident. The flow table's hot set is bounded; the
+// figures never read exact aggregates, so spilled rows are dropped
+// rather than written out.
 func streamDigest(seed uint64, samplesPerSite, framesPerSample, flowCount int) (*analysis.Digester, error) {
 	profiles := trafficgen.MakeSiteProfiles(seed, profileCorpusSites)
 	d := analysis.NewDigester(analysis.DigestOptions{MaxHotFlows: 4096})

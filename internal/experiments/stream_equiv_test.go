@@ -5,7 +5,41 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/sim"
+	"repro/internal/trafficgen"
 )
+
+// corpus builds the same corpus as streamDigest the
+// materialize-everything way: every sample cloned with gen.Sample and
+// folded into in-memory acaps. It is the baseline the streamed figures
+// must reproduce.
+func corpus(seed uint64, samplesPerSite, framesPerSample, flowCount int) ([]*analysis.Acap, error) {
+	profiles := trafficgen.MakeSiteProfiles(seed, profileCorpusSites)
+	var acaps []*analysis.Acap
+	for i, p := range profiles {
+		gen := trafficgen.NewGenerator(p, seed*1000+uint64(i))
+		for s := 0; s < samplesPerSite; s++ {
+			frames, err := gen.Sample(trafficgen.SampleConfig{
+				Duration:  20 * sim.Second,
+				MaxFrames: framesPerSample,
+				FlowCount: flowCount,
+			})
+			if err != nil {
+				return nil, err
+			}
+			a := &analysis.Acap{Site: p.Site, SampleStartNanos: int64(s) * int64(5*sim.Minute)}
+			for _, tf := range frames {
+				stored := tf.Data
+				if len(stored) > 200 {
+					stored = stored[:200]
+				}
+				a.Records = append(a.Records, analysis.DigestFrame(int64(tf.At), stored, len(tf.Data)))
+			}
+			acaps = append(acaps, a)
+		}
+	}
+	return acaps, nil
+}
 
 // renderBytes captures a result's full rendered output plus its CSV —
 // the figure artifacts the streamed pipeline must reproduce exactly.

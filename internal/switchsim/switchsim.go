@@ -65,6 +65,12 @@ func (r PortRole) String() string {
 
 // Frame is a frame crossing the switch. Data may be nil for rate-only
 // modeling; Size is always authoritative.
+//
+// Data is borrowed: it is valid only for the duration of the Transit or
+// DeliverFrame call that carries it. The caller may overwrite or recycle
+// the bytes as soon as that call returns, so a consumer that needs them
+// later (a mirror clone waiting in the egress queue, a capture record
+// waiting for its core) must copy them.
 type Frame struct {
 	Data []byte
 	Size int
@@ -90,6 +96,7 @@ type Counters struct {
 // (e.g. a capture NIC).
 type Receiver interface {
 	// DeliverFrame is called when the frame's last byte leaves the port.
+	// f.Data is borrowed for the call (see Frame).
 	DeliverFrame(now sim.Time, f Frame)
 }
 
@@ -167,11 +174,14 @@ type Switch struct {
 }
 
 // cloneDelivery carries one mirrored frame from the egress queue to its
-// receiver. Records recycle through Switch.cloneFree (under mu).
+// receiver. The frame's bytes live in buf, owned by the record, because
+// the transiting frame's Data is only borrowed. Records recycle through
+// Switch.cloneFree (under mu) with their buffers.
 type cloneDelivery struct {
 	r    Receiver
 	at   sim.Time
 	f    Frame
+	buf  []byte
 	next *cloneDelivery
 }
 
@@ -430,24 +440,30 @@ func (s *Switch) cloneLocked(now sim.Time, m *MirrorSession, f Frame) {
 	if r := eg.receiver; r != nil {
 		cd := s.cloneFree
 		if cd == nil {
-			cd = new(cloneDelivery)
+			// A non-nil buffer keeps an empty non-nil Data distinct
+			// from a rate-only frame's nil.
+			cd = &cloneDelivery{buf: make([]byte, 0, len(f.Data))}
 		} else {
 			s.cloneFree = cd.next
 		}
 		cd.r, cd.at, cd.f = r, eg.queueFree, f
+		if f.Data != nil {
+			cd.buf = append(cd.buf[:0], f.Data...)
+			cd.f.Data = cd.buf
+		}
 		s.sched.AtArg(eg.queueFree, s.cloneFn, cd)
 	}
 }
 
 // deliverClone hands a mirrored frame to its receiver (the AtArg
-// callback) and returns the record to the pool.
+// callback), then returns the record to the pool: the receiver borrows
+// the record's buffer for the call, so recycling must wait for it.
 func (s *Switch) deliverClone(a any) {
 	cd := a.(*cloneDelivery)
-	r, at, f := cd.r, cd.at, cd.f
+	cd.r.DeliverFrame(cd.at, cd.f)
 	s.mu.Lock()
 	cd.r, cd.f = nil, Frame{}
 	cd.next = s.cloneFree
 	s.cloneFree = cd
 	s.mu.Unlock()
-	r.DeliverFrame(at, f)
 }

@@ -1,6 +1,7 @@
 package switchsim
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -64,6 +65,40 @@ func TestMirrorClonesBothDirections(t *testing.T) {
 	}
 	if m.Cloned != 2 || m.CloneDrops != 0 {
 		t.Errorf("session = %+v", m)
+	}
+}
+
+// TestTransitBorrowsData pins the Frame contract from the switch side:
+// Transit may only borrow f.Data, so overwriting the caller's bytes
+// while the clone waits in the egress queue must not change what the
+// mirror receiver gets.
+func TestTransitBorrowsData(t *testing.T) {
+	sw, k := newTestSwitch(t)
+	var got [][]byte
+	sw.Port("P4").SetReceiver(ReceiverFunc(func(_ sim.Time, f Frame) {
+		got = append(got, bytes.Clone(f.Data))
+	}))
+	if _, err := sw.StartMirror("P2", DirRx, "P4"); err != nil {
+		t.Fatal(err)
+	}
+	src := []byte("mirrored frame bytes")
+	want := bytes.Clone(src)
+	if err := sw.Transit("P2", DirRx, NewFrame(src)); err != nil {
+		t.Fatal(err)
+	}
+	copy(src, bytes.Repeat([]byte{'x'}, len(src)))
+	// Rate-only and empty frames keep their nil-ness across the clone.
+	_ = sw.Transit("P2", DirRx, Frame{Size: 64})
+	_ = sw.Transit("P2", DirRx, Frame{Data: []byte{}, Size: 64})
+	k.Run()
+	if len(got) != 3 {
+		t.Fatalf("delivered %d frames, want 3", len(got))
+	}
+	if !bytes.Equal(got[0], want) {
+		t.Errorf("delivered %q, want %q", got[0], want)
+	}
+	if got[1] != nil || got[2] == nil {
+		t.Errorf("nil-ness lost: rate-only %v, empty %v", got[1], got[2])
 	}
 }
 

@@ -10,7 +10,10 @@ type FrameArena struct {
 	off    int // fill offset within chunks[cur]
 }
 
-const arenaChunkSize = 1 << 20
+// arenaChunkSize is small enough that a long-lived arena holding one
+// traffic window (a few hundred frames) does not pin a mostly-empty
+// megabyte, and large enough that a chunk holds dozens of full frames.
+const arenaChunkSize = 64 << 10
 
 // NewFrameArena returns an empty arena.
 func NewFrameArena() *FrameArena { return &FrameArena{} }

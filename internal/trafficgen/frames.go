@@ -1,9 +1,10 @@
 package trafficgen
 
 import (
+	"cmp"
 	"fmt"
 	"net/netip"
-	"sort"
+	"slices"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -92,6 +93,8 @@ type Generator struct {
 	ls layerScratch
 	// ctrl is the pooled packet BuildTCPControl patches flags through.
 	ctrl wire.Packet
+	// labels is the MPLS stack SampleInto's current flow borrows.
+	labels []uint32
 }
 
 // layerScratch pools serialization state. Fields with two instances
@@ -144,7 +147,11 @@ func NewGenerator(p Profile, seed uint64) *Generator {
 }
 
 // NewFlow draws a flow specification from the profile.
-func (g *Generator) NewFlow() FlowSpec {
+func (g *Generator) NewFlow() FlowSpec { return g.newFlow(nil) }
+
+// newFlow is NewFlow with the label stack appended to labels[:0], so a
+// caller that drops the spec before the next draw can recycle it.
+func (g *Generator) newFlow(labels []uint32) FlowSpec {
 	p := &g.Profile
 	fs := FlowSpec{
 		Kind:   p.drawKind(g.r),
@@ -154,11 +161,12 @@ func (g *Generator) NewFlow() FlowSpec {
 	if fs.Kind == KindARP {
 		fs.IPv6 = false // ARP is IPv4-only
 	}
-	labels := 1
+	depth := 1
 	if g.r.Bool(p.MPLSDepth2Fraction) {
-		labels = 2
+		depth = 2
 	}
-	for i := 0; i < labels; i++ {
+	fs.MPLSLabels = labels[:0]
+	for i := 0; i < depth; i++ {
 		fs.MPLSLabels = append(fs.MPLSLabels, uint32(16+g.r.Intn(1<<19)))
 	}
 	fs.Pseudowire = g.r.Bool(p.PWFraction)
@@ -355,7 +363,7 @@ func (g *Generator) buildFrameRaw(fs *FlowSpec, dir Dir, wireSize int) ([]byte, 
 		layers = append(layers, ls.payload(clampPayload(wireSize-overhead-58, 8)))
 	case KindDNS:
 		ls.udp[0] = wire.UDP{SrcPort: srcPort, DstPort: dstPort}
-		ls.dnsQ[0] = fmt.Sprintf("host%d.fabric-testbed.net", g.r.Intn(1000))
+		ls.dnsQ[0] = dnsHostNames[g.r.Intn(len(dnsHostNames))]
 		ls.dns = wire.DNS{ID: uint16(g.r.Intn(1 << 16)), QR: dir == DirReverse,
 			Questions: ls.dnsQ[:]}
 		layers = append(layers, &ls.udp[0], &ls.dns)
@@ -403,6 +411,15 @@ func (g *Generator) buildFrameRaw(fs *FlowSpec, dir Dir, wireSize int) ([]byte, 
 	}
 	return g.serializeRaw(layers)
 }
+
+// dnsHostNames are the query names DNS flows draw from, built once so a
+// DNS frame costs no formatting.
+var dnsHostNames = func() (names [1000]string) {
+	for i := range names {
+		names[i] = fmt.Sprintf("host%d.fabric-testbed.net", i)
+	}
+	return names
+}()
 
 func clampPayload(n, min int) int {
 	if n < min {
@@ -507,7 +524,9 @@ func (g *Generator) SampleInto(cfg SampleConfig, frames []TimedFrame, clone func
 	scanMode := nFlows > 5000
 	framesLeft := cfg.MaxFrames
 	for i := 0; i < nFlows && framesLeft > 0 && totalBytes < cfg.MaxBytes; i++ {
-		fs := g.NewFlow()
+		// The spec lives only for this iteration: recycle its labels.
+		fs := g.newFlow(g.labels)
+		g.labels = fs.MPLSLabels
 		var nData int
 		switch {
 		case scanMode:
@@ -624,7 +643,10 @@ func (g *Generator) SampleInto(cfg SampleConfig, frames []TimedFrame, clone func
 			}
 		}
 	}
-	sort.Slice(frames, func(i, j int) bool { return frames[i].At < frames[j].At })
+	// slices.SortFunc runs the same pdqsort as sort.Slice (both are
+	// generated from one template), so frames with equal timestamps keep
+	// the order they always had, without sort.Slice's reflection allocs.
+	slices.SortFunc(frames, func(a, b TimedFrame) int { return cmp.Compare(a.At, b.At) })
 	return frames, nil
 }
 

@@ -123,20 +123,24 @@ func dnsName(data []byte, off int) (string, int, error) {
 
 // SerializeTo prepends a DNS header plus uncompressed question names.
 func (d *DNS) SerializeTo(b *SerializeBuffer) error {
-	var body bytes.Buffer
+	total := dnsHeaderLen
 	for _, q := range d.Questions {
-		if err := writeDNSName(&body, q); err != nil {
+		n, err := dnsNameLen(q)
+		if err != nil {
 			return err
 		}
-		var tail [4]byte
-		binary.BigEndian.PutUint16(tail[0:2], 1) // QTYPE A
-		binary.BigEndian.PutUint16(tail[2:4], 1) // QCLASS IN
-		body.Write(tail[:])
+		total += n + 4 // name, QTYPE, QCLASS
 	}
-	total := dnsHeaderLen + body.Len()
 	bs, err := b.PrependBytes(total)
 	if err != nil {
 		return err
+	}
+	off := dnsHeaderLen
+	for _, q := range d.Questions {
+		off += putDNSName(bs[off:], q)
+		binary.BigEndian.PutUint16(bs[off:], 1)   // QTYPE A
+		binary.BigEndian.PutUint16(bs[off+2:], 1) // QCLASS IN
+		off += 4
 	}
 	binary.BigEndian.PutUint16(bs[0:2], d.ID)
 	var flags uint16
@@ -149,29 +153,44 @@ func (d *DNS) SerializeTo(b *SerializeBuffer) error {
 	binary.BigEndian.PutUint16(bs[6:8], d.ANCount)
 	binary.BigEndian.PutUint16(bs[8:10], d.NSCount)
 	binary.BigEndian.PutUint16(bs[10:12], d.ARCount)
-	copy(bs[dnsHeaderLen:], body.Bytes())
 	return nil
 }
 
-func writeDNSName(w *bytes.Buffer, name string) error {
+// dnsNameLen validates name's labels and returns its uncompressed wire
+// length: a length byte per label, the labels, and the root byte.
+func dnsNameLen(name string) (int, error) {
 	if name == "" {
-		w.WriteByte(0)
-		return nil
+		return 1, nil
 	}
 	start := 0
 	for i := 0; i <= len(name); i++ {
 		if i == len(name) || name[i] == '.' {
-			label := name[start:i]
-			if len(label) == 0 || len(label) > 63 {
-				return fmt.Errorf("DNS label %q invalid", label)
+			if l := i - start; l == 0 || l > 63 {
+				return 0, fmt.Errorf("DNS label %q invalid", name[start:i])
 			}
-			w.WriteByte(byte(len(label)))
-			w.WriteString(label)
 			start = i + 1
 		}
 	}
-	w.WriteByte(0)
-	return nil
+	return len(name) + 2, nil
+}
+
+// putDNSName writes a name dnsNameLen accepted into b and returns the
+// bytes written.
+func putDNSName(b []byte, name string) int {
+	if name == "" {
+		b[0] = 0
+		return 1
+	}
+	n, start := 0, 0
+	for i := 0; i <= len(name); i++ {
+		if i == len(name) || name[i] == '.' {
+			b[n] = byte(i - start)
+			n += 1 + copy(b[n+1:], name[start:i])
+			start = i + 1
+		}
+	}
+	b[n] = 0
+	return n + 1
 }
 
 // TLSRecordType is the TLS record content type.

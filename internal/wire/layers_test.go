@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"net/netip"
+	"strings"
 	"testing"
 )
 
@@ -378,8 +379,12 @@ func TestARPRoundTrip(t *testing.T) {
 }
 
 func TestDNSRoundTrip(t *testing.T) {
-	q := &DNS{ID: 0x1234, Opcode: 0, Questions: []string{"fabric-testbed.net"}}
+	q := &DNS{ID: 0x1234, Opcode: 0, Questions: []string{"fabric-testbed.net", "a.b"}}
 	data := buildFrame(t, q)
+	wantBody := "\x0efabric-testbed\x03net\x00\x00\x01\x00\x01\x01a\x01b\x00\x00\x01\x00\x01"
+	if len(data) != dnsHeaderLen+len(wantBody) || string(data[dnsHeaderLen:]) != wantBody {
+		t.Errorf("question section = %q, want %q", data[min(len(data), dnsHeaderLen):], wantBody)
+	}
 	var d DNS
 	if err := d.DecodeFromBytes(data); err != nil {
 		t.Fatal(err)
@@ -387,8 +392,14 @@ func TestDNSRoundTrip(t *testing.T) {
 	if d.ID != 0x1234 || d.QR {
 		t.Errorf("dns header = %+v", d)
 	}
-	if len(d.Questions) != 1 || d.Questions[0] != "fabric-testbed.net" {
+	if len(d.Questions) != 2 || d.Questions[0] != "fabric-testbed.net" || d.Questions[1] != "a.b" {
 		t.Errorf("questions = %v", d.Questions)
+	}
+	for _, bad := range []string{"a..b", "a.", strings.Repeat("x", 64)} {
+		buf := NewSerializeBuffer()
+		if err := SerializeLayers(buf, SerializeOptions{}, &DNS{Questions: []string{bad}}); err == nil {
+			t.Errorf("question %q serialized, want a label error", bad)
+		}
 	}
 }
 

@@ -8,9 +8,10 @@
 #   BENCH_kernel.json       internal/sim micro-benchmarks
 #   BENCH_experiments.json  paper-experiment benchmarks + RunAll wall
 #                           times (serial vs -parallel 8)
-#   BENCH_lanes.json        laned campaign speedup/efficiency: wall-clock
-#                           speedup over serial plus the lane profiler's
-#                           own estimate and parallel efficiency
+#   BENCH_lanes.json        laned campaign wall times (serial, 1 and 4
+#                           workers), wall-clock speedup over serial plus
+#                           the lane profiler's own estimate and parallel
+#                           efficiency
 #   BENCH_analysis.json     streaming analysis pipeline: streamed vs
 #                           materialized digest (B/op, flows/sec) and
 #                           the GOMEMLIMIT-bounded peak heap of a
@@ -105,16 +106,13 @@ if [ "$smoke" -eq 1 ]; then
     fi
 fi
 
-"$tmp/benchjson" \
-    -add "LanedCampaignWallSerial:ms:$laned_serial_ms" \
-    -add "LanedCampaignWall1Worker:ms:$laned_w1_ms" \
-    -add "LanedCampaignWall4Workers:ms:$laned_w4_ms" \
-    < "$tmp/kernel.txt" > "$kernel_out"
+"$tmp/benchjson" < "$tmp/kernel.txt" > "$kernel_out"
 
-# Lane speedup/efficiency report: the measured wall-clock speedup over
-# serial, plus the lane profiler's own estimate and parallel efficiency
-# pulled from the -profile run's lane-summary.json. All of these are
-# hardware-dependent — recorded for the trajectory, never gated.
+# Lane report: the three laned campaign wall times, the measured
+# wall-clock speedup over serial, plus the lane profiler's own estimate
+# and parallel efficiency pulled from the -profile run's
+# lane-summary.json. All of these are hardware-dependent — recorded for
+# the trajectory, never gated.
 summary="$tmp/lw-out-4-4/prof/lane-summary.json"
 json_field() {
     awk -F'[:,]' -v k="\"$1\"" '$0 ~ k { gsub(/[[:space:]]/, "", $2); print $2; exit }' "$summary"
@@ -124,6 +122,9 @@ wall_speedup=$(awk -v s="$laned_serial_ms" -v p="$laned_w4_ms" \
 est_speedup=$(json_field est_speedup)
 efficiency=$(json_field parallel_efficiency)
 "$tmp/benchjson" \
+    -add "LanedCampaignWallSerial:ms:$laned_serial_ms" \
+    -add "LanedCampaignWall1Worker:ms:$laned_w1_ms" \
+    -add "LanedCampaignWall4Workers:ms:$laned_w4_ms" \
     -add "LanedWallSpeedup4Workers:x:${wall_speedup:-0}" \
     -add "LanedEstSpeedup4Workers:x:${est_speedup:-0}" \
     -add "LanedParallelEfficiency4Workers:frac:${efficiency:-0}" \
