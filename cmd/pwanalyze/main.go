@@ -4,11 +4,11 @@
 // Process (CSV emission).
 //
 // The pipeline is single-pass and bounded-memory: each capture streams
-// through the digester frame by frame, per-capture acaps are encoded
-// and dropped as soon as they are indexed, and the flow table spills
-// cold flows to a columnar flow store (flows.pwfs) that doubles as the
-// /api/flows query artifact. Only the hot flow working set and one
-// capture's records are ever resident at once.
+// through the digester frame by frame, each frame is decoded once and
+// its acap record is encoded to the capture's acap file as it is
+// digested, and the flow table spills cold flows to a columnar flow
+// store (flows.pwfs) that doubles as the /api/flows query artifact.
+// Only the hot flow working set is ever resident.
 //
 // Usage:
 //
@@ -111,11 +111,13 @@ func run(in, out string, hotMax int, verbose bool) (torn []string, err error) {
 	d := analysis.NewDigester(analysis.DigestOptions{MaxHotFlows: hotMax, Spill: spill})
 
 	// Digest: one acap (and one digester sample) per pcap, site taken
-	// from the parent directory. Each acap is encoded and released
-	// before the next capture opens; every streamed statistic — frame
-	// sizes, header stacks, flows, TCP flags — folds into the digester.
+	// from the parent directory. Each frame is decoded once, by the
+	// digester, which folds every streamed statistic — frame sizes,
+	// header stacks, flows, TCP flags — and hands back the frame's acap
+	// record for the encoder; the index entry comes from the same pass.
 	var captures int
 	var index analysis.Index
+	var enc analysis.AcapEncoder
 	err = filepath.WalkDir(in, func(path string, de fs.DirEntry, err error) error {
 		if err != nil || de.IsDir() || !strings.HasSuffix(path, ".pcap") {
 			return err
@@ -130,12 +132,27 @@ func run(in, out string, hotMax int, verbose bool) (torn []string, err error) {
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
-		acap := &analysis.Acap{Site: site}
+		captures++
+		acapPath := filepath.Join(acapDir, fmt.Sprintf("%s-%03d.json", site, captures))
+		af, err := os.Create(acapPath)
+		if err != nil {
+			return err
+		}
+		defer af.Close()
 		d.StartSample(site)
+		started := false
 		err = rd.ForEach(func(rec *pcap.Record) error {
-			acap.Records = append(acap.Records,
-				analysis.DigestFrame(rec.TimestampNanos, rec.Data, rec.OriginalLength))
-			return d.Frame(rec.TimestampNanos, rec.Data, rec.OriginalLength)
+			if err := d.Frame(rec.TimestampNanos, rec.Data, rec.OriginalLength); err != nil {
+				return err
+			}
+			r := d.Record()
+			if !started {
+				// The sample starts at its first record, as in
+				// analysis.Digest.
+				enc.Begin(af, site, r.TimestampNanos)
+				started = true
+			}
+			return enc.Write(r)
 		})
 		if err != nil {
 			return err
@@ -143,24 +160,19 @@ func run(in, out string, hotMax int, verbose bool) (torn []string, err error) {
 		if rd.Torn() {
 			torn = append(torn, path)
 		}
-		d.EndSample()
-		captures++
-
-		// Persist the acap and index it; the records are dropped here.
-		name := fmt.Sprintf("%s-%03d.json", site, captures)
-		acapPath := filepath.Join(acapDir, name)
-		af, err := os.Create(acapPath)
-		if err != nil {
-			return err
+		if !started {
+			enc.Begin(af, site, 0)
 		}
-		if err := acap.Encode(af); err != nil {
-			_ = af.Close()
+		entry, err := enc.End()
+		if err != nil {
 			return err
 		}
 		if err := af.Close(); err != nil {
 			return err
 		}
-		index.Add(analysis.Summarize(acap, acapPath))
+		entry.Path = acapPath
+		entry.DistinctFlows = d.EndSample()
+		index.Add(entry)
 		return nil
 	})
 	if err != nil {

@@ -189,29 +189,102 @@ func TestRunMatchesInMemoryPipeline(t *testing.T) {
 	}
 }
 
+// capturePaths lists the corpus's pcaps in the order run digests them.
+func capturePaths(t *testing.T, in string) []string {
+	t.Helper()
+	var paths []string
+	err := filepath.WalkDir(in, func(path string, de fs.DirEntry, err error) error {
+		if err == nil && !de.IsDir() && strings.HasSuffix(path, ".pcap") {
+			paths = append(paths, path)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) == 0 {
+		t.Fatal("corpus produced no pcaps")
+	}
+	return paths
+}
+
+// tear cuts the capture short mid-record, as a dying capture process
+// leaves it.
+func tear(t *testing.T, path string) {
+	t.Helper()
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()-9); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAcapMatchesDigest: the acap pwanalyze streams for each capture —
+// torn and empty ones included — is byte-identical to the materialized
+// analysis.Digest of that pcap, encoded with Acap.Encode; in particular
+// its start is the first record's timestamp.
+func TestAcapMatchesDigest(t *testing.T) {
+	in := writeCorpus(t, 5, 2, 2, 300)
+	paths := capturePaths(t, in)
+	tear(t, paths[1])
+	empty, err := os.Create(filepath.Join(filepath.Dir(paths[0]), "sample-99.pcap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := pcap.NewWriter(empty, pcap.FileHeader{SnapLen: 200})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := empty.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	out := t.TempDir()
+	if _, err := run(in, out, 64, false); err != nil {
+		t.Fatal(err)
+	}
+	paths = capturePaths(t, in)
+	for i, path := range paths {
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rd, err := pcap.NewReader(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		site := filepath.Base(filepath.Dir(path))
+		a, err := analysis.Digest(site, rd)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := a.Encode(&want); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(out, "acaps", fmt.Sprintf("%s-%03d.json", site, i+1)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			t.Errorf("%s: acap differs from Digest+Encode\n got: %.200s\nwant: %.200s", path, got, want.Bytes())
+		}
+	}
+}
+
 // TestTornCaptureSurfaced: a capture whose final record was cut short
 // must not fail the run — the intact prefix is analyzed — but its path
 // must be reported so the CLI can warn and exit with the torn code.
 func TestTornCaptureSurfaced(t *testing.T) {
 	in := writeCorpus(t, 33, 2, 1, 400)
-	var tornPath string
-	err := filepath.WalkDir(in, func(path string, de fs.DirEntry, err error) error {
-		if err != nil || de.IsDir() || !strings.HasSuffix(path, ".pcap") || tornPath != "" {
-			return err
-		}
-		st, err := os.Stat(path)
-		if err != nil {
-			return err
-		}
-		tornPath = path
-		return os.Truncate(path, st.Size()-9) // die mid-record
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tornPath == "" {
-		t.Fatal("corpus produced no pcaps")
-	}
+	tornPath := capturePaths(t, in)[0]
+	tear(t, tornPath)
 
 	torn, err := run(in, t.TempDir(), 64, false)
 	if err != nil {

@@ -13,6 +13,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/netip"
+	"strconv"
 
 	"repro/internal/pcap"
 	"repro/internal/wire"
@@ -101,18 +103,21 @@ func Digest(site string, r *pcap.Reader) (*Acap, error) {
 // DigestFrame dissects one frame into a Record.
 func DigestFrame(tsNanos int64, data []byte, wireLen int) Record {
 	pkt := wire.NewPacket(data, wire.LayerTypeEthernet, wire.Default)
-	layers := pkt.Layers()
-	rec := Record{
-		TimestampNanos: tsNanos,
-		WireLen:        wireLen,
-		StoredLen:      len(data),
-		Stack:          pkt.LayerTypes(),
+	return frameRecord(pkt, pkt.LayerTypes(), tsNanos, len(data), wireLen)
+}
+
+// frameRecord builds the Record of a frame already decoded into pkt;
+// stack is its header stack and is stored, not copied.
+func frameRecord(pkt *wire.Packet, stack []wire.LayerType, tsNanos int64, storedLen, wireLen int) Record {
+	fail := pkt.ErrorLayer()
+	return Record{
+		TimestampNanos:  tsNanos,
+		WireLen:         wireLen,
+		StoredLen:       storedLen,
+		Stack:           stack,
+		Flow:            extractFlowKey(pkt.Layers()),
+		DecodeTruncated: fail != nil && wire.IsTruncated(fail.Error()),
 	}
-	if fail := pkt.ErrorLayer(); fail != nil && wire.IsTruncated(fail.Error()) {
-		rec.DecodeTruncated = true
-	}
-	rec.Flow = extractFlowKey(layers)
-	return rec
 }
 
 // extractFlowKey pulls the virtualization tags and first network and
@@ -168,49 +173,149 @@ func extractFlowKey(layers []wire.Layer) FlowKey {
 	return k
 }
 
-// acapJSON is the serialized form (stack as ints keeps files compact).
-type acapJSON struct {
-	Site    string       `json:"site"`
-	Start   int64        `json:"start"`
-	Records []recordJSON `json:"records"`
-}
-
-type recordJSON struct {
-	TS        int64  `json:"ts"`
-	Wire      int    `json:"wire"`
-	Stored    int    `json:"stored"`
-	Stack     []int  `json:"stack"`
-	VLAN      uint16 `json:"vlan,omitempty"`
-	MPLS      uint32 `json:"mpls,omitempty"`
-	Src       string `json:"src,omitempty"`
-	Dst       string `json:"dst,omitempty"`
-	Proto     int    `json:"proto,omitempty"`
-	SPort     uint16 `json:"sport,omitempty"`
-	DPort     uint16 `json:"dport,omitempty"`
-	Truncated bool   `json:"trunc,omitempty"`
-}
-
-// Encode serializes the acap as JSON (one object). The format is stable
-// across runs for a given input.
+// Encode serializes the acap as JSON (one object and a newline) through
+// an AcapEncoder. The format is stable across runs for a given input.
 func (a *Acap) Encode(w io.Writer) error {
-	out := acapJSON{Site: a.Site, Start: a.SampleStartNanos}
-	out.Records = make([]recordJSON, len(a.Records))
-	for i, r := range a.Records {
-		rj := recordJSON{
-			TS: r.TimestampNanos, Wire: r.WireLen, Stored: r.StoredLen,
-			VLAN: r.Flow.VLANID, MPLS: r.Flow.MPLSTop,
-			Src: r.Flow.Src.String(), Dst: r.Flow.Dst.String(),
-			Proto: int(r.Flow.Proto), SPort: r.Flow.SrcPort, DPort: r.Flow.DstPort,
-			Truncated: r.DecodeTruncated,
+	var enc AcapEncoder
+	enc.Begin(w, a.Site, a.SampleStartNanos)
+	for i := range a.Records {
+		if err := enc.Write(&a.Records[i]); err != nil {
+			return err
 		}
-		rj.Stack = make([]int, len(r.Stack))
-		for j, t := range r.Stack {
-			rj.Stack[j] = int(t)
-		}
-		out.Records[i] = rj
 	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+	_, err := enc.End()
+	return err
+}
+
+// AcapEncoder streams acaps as JSON one record at a time through a
+// reused buffer, so writing an acap needs neither its records in memory
+// nor reflection. An acap is
+//
+//	{"site":S,"start":T,"records":[R,...]}
+//
+// and a newline, where each record R is
+//
+//	{"ts":…,"wire":…,"stored":…,"stack":[…],"vlan":…,"mpls":…,"src":"…","dst":"…","proto":…,"sport":…,"dport":…,"trunc":true}
+//
+// with stack the layer types as integers, endpoints in their text form
+// ("invalid" for the zero endpoint), and vlan, mpls, proto, sport, dport
+// and trunc omitted when zero. These are exactly the bytes encoding/json
+// writes for that structure with omitempty on the optional fields; the
+// package tests keep the reflective form as the oracle. One encoder
+// writes any number of acaps in turn. Not safe for concurrent use.
+type AcapEncoder struct {
+	w     io.Writer
+	buf   []byte
+	entry IndexEntry
+	err   error
+}
+
+// acapFlushBytes is the buffered size at which Write hands the encoded
+// bytes to the writer.
+const acapFlushBytes = 64 << 10
+
+// Begin starts an acap for site whose sample starts at startNanos,
+// written to w.
+func (e *AcapEncoder) Begin(w io.Writer, site string, startNanos int64) {
+	e.w, e.err = w, nil
+	e.entry = IndexEntry{Site: site}
+	// The site goes through encoding/json itself, once per acap, so its
+	// escaping (HTML-safe, U+2028/U+2029, invalid UTF-8) is the oracle's.
+	// Marshaling a string cannot fail.
+	quoted, _ := json.Marshal(site)
+	e.buf = append(e.buf[:0], `{"site":`...)
+	e.buf = append(e.buf, quoted...)
+	e.buf = append(e.buf, `,"start":`...)
+	e.buf = strconv.AppendInt(e.buf, startNanos, 10)
+	e.buf = append(e.buf, `,"records":[`...)
+}
+
+// Write appends one record to the acap begun last. r is only read
+// during the call.
+func (e *AcapEncoder) Write(r *Record) error {
+	if e.entry.Frames > 0 {
+		e.buf = append(e.buf, ',')
+	}
+	e.entry.add(r)
+	e.buf = appendRecordJSON(e.buf, r)
+	if len(e.buf) >= acapFlushBytes {
+		return e.flush()
+	}
+	return e.err
+}
+
+// End finishes the acap and writes out what is still buffered. It
+// returns the acap's index entry with Site, the time span, Frames and
+// Bytes filled in; Path and DistinctFlows are the caller's.
+func (e *AcapEncoder) End() (IndexEntry, error) {
+	e.buf = append(e.buf, "]}\n"...)
+	return e.entry, e.flush()
+}
+
+// flush hands the buffer to the writer. After a write error the acap's
+// remaining bytes are dropped and every call reports that error.
+func (e *AcapEncoder) flush() error {
+	if e.err == nil {
+		_, e.err = e.w.Write(e.buf)
+	}
+	e.buf = e.buf[:0]
+	return e.err
+}
+
+// appendRecordJSON appends one record's JSON object.
+func appendRecordJSON(b []byte, r *Record) []byte {
+	b = append(b, `{"ts":`...)
+	b = strconv.AppendInt(b, r.TimestampNanos, 10)
+	b = append(b, `,"wire":`...)
+	b = strconv.AppendInt(b, int64(r.WireLen), 10)
+	b = append(b, `,"stored":`...)
+	b = strconv.AppendInt(b, int64(r.StoredLen), 10)
+	b = append(b, `,"stack":[`...)
+	for i, t := range r.Stack {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(t), 10)
+	}
+	b = append(b, ']')
+	f := &r.Flow
+	b = appendNonZero(b, `,"vlan":`, int64(f.VLANID))
+	b = appendNonZero(b, `,"mpls":`, int64(f.MPLSTop))
+	// An endpoint's text is never empty, so src and dst are always
+	// present, and never needs JSON escaping.
+	b = append(b, `,"src":"`...)
+	b = appendEndpoint(b, f.Src)
+	b = append(b, `","dst":"`...)
+	b = appendEndpoint(b, f.Dst)
+	b = append(b, '"')
+	b = appendNonZero(b, `,"proto":`, int64(f.Proto))
+	b = appendNonZero(b, `,"sport":`, int64(f.SrcPort))
+	b = appendNonZero(b, `,"dport":`, int64(f.DstPort))
+	if r.DecodeTruncated {
+		b = append(b, `,"trunc":true`...)
+	}
+	return append(b, '}')
+}
+
+// appendNonZero appends key and v, or nothing when v is zero (the
+// omitempty fields).
+func appendNonZero(b []byte, key string, v int64) []byte {
+	if v == 0 {
+		return b
+	}
+	return strconv.AppendInt(append(b, key...), v, 10)
+}
+
+// appendEndpoint appends ep.String(), without allocating for the IP
+// families and the zero endpoint (the only kinds a FlowKey holds).
+func appendEndpoint(b []byte, ep wire.Endpoint) []byte {
+	switch ep.Type() {
+	case wire.EndpointIPv4:
+		return netip.AddrFrom4([4]byte(ep.Raw())).AppendTo(b)
+	case wire.EndpointIPv6:
+		return netip.AddrFrom16([16]byte(ep.Raw())).AppendTo(b)
+	}
+	return append(b, ep.String()...)
 }
 
 // StackString renders a record's header stack like

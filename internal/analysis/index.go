@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -32,30 +33,37 @@ type Index struct {
 
 // Summarize builds the index entry for one acap.
 func Summarize(a *Acap, path string) IndexEntry {
-	e := IndexEntry{Site: a.Site, Path: path, Frames: len(a.Records)}
-	for i, r := range a.Records {
-		if i == 0 || r.TimestampNanos < e.StartNanos {
-			e.StartNanos = r.TimestampNanos
-		}
-		if r.TimestampNanos > e.EndNanos {
-			e.EndNanos = r.TimestampNanos
-		}
-		e.Bytes += int64(r.WireLen)
+	e := IndexEntry{Site: a.Site, Path: path}
+	for i := range a.Records {
+		e.add(&a.Records[i])
 	}
 	e.DistinctFlows = FlowsInSample(a)
 	return e
 }
 
-// Add inserts an entry, keeping the index sorted.
+// add folds one of the acap's records into the entry's time span and
+// volume.
+func (e *IndexEntry) add(r *Record) {
+	if e.Frames == 0 || r.TimestampNanos < e.StartNanos {
+		e.StartNanos = r.TimestampNanos
+	}
+	if r.TimestampNanos > e.EndNanos {
+		e.EndNanos = r.TimestampNanos
+	}
+	e.Frames++
+	e.Bytes += int64(r.WireLen)
+}
+
+// Add inserts an entry after every entry ordered at or before it by
+// (site, start), so the index stays sorted and entries with equal keys
+// keep their insertion order. Entries must already be sorted, as Add
+// keeps them.
 func (ix *Index) Add(e IndexEntry) {
-	ix.Entries = append(ix.Entries, e)
-	sort.SliceStable(ix.Entries, func(i, j int) bool {
-		a, b := ix.Entries[i], ix.Entries[j]
-		if a.Site != b.Site {
-			return a.Site < b.Site
-		}
-		return a.StartNanos < b.StartNanos
+	i := sort.Search(len(ix.Entries), func(i int) bool {
+		x := &ix.Entries[i]
+		return e.Site < x.Site || (e.Site == x.Site && e.StartNanos < x.StartNanos)
 	})
+	ix.Entries = slices.Insert(ix.Entries, i, e)
 }
 
 // BySite returns the entries for one site.

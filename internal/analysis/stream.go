@@ -51,6 +51,7 @@ type Digester struct {
 	pkt      wire.Packet
 	stackBuf []wire.LayerType
 	patBuf   []byte
+	rec      Record
 
 	frames    int
 	truncated int
@@ -141,7 +142,8 @@ func (d *Digester) EndSample() int {
 // Frame digests one frame: data is the stored (possibly truncated)
 // bytes, wireLen the original on-wire length. The data slice is only
 // read during the call and may be reused by the caller afterwards.
-// StartSample must have been called.
+// StartSample must have been called. The frame's acap record is then
+// available from Record, from the same decode.
 func (d *Digester) Frame(tsNanos int64, data []byte, wireLen int) error {
 	if d.curSite == nil {
 		return fmt.Errorf("analysis: Frame before StartSample")
@@ -163,9 +165,6 @@ func (d *Digester) Frame(tsNanos int64, data []byte, wireLen int) error {
 	// nothing below retains layer or data references past the call.
 	d.pkt.Reset(data, wire.LayerTypeEthernet, wire.NoCopy)
 	layers := d.pkt.Layers()
-	if fail := d.pkt.ErrorLayer(); fail != nil && wire.IsTruncated(fail.Error()) {
-		d.truncated++
-	}
 
 	// Header stack statistics + encapsulation census.
 	d.stackBuf = d.stackBuf[:0]
@@ -196,6 +195,10 @@ func (d *Digester) Frame(tsNanos int64, data []byte, wireLen int) error {
 			d.patBuf = append(d.patBuf, '/')
 		}
 		d.patBuf = append(d.patBuf, t.String()...)
+	}
+	d.rec = frameRecord(&d.pkt, d.stackBuf, tsNanos, len(data), wireLen)
+	if d.rec.DecodeTruncated {
+		d.truncated++
 	}
 	// map[string]*int: the read side is allocation-free (string(patBuf)
 	// lookups don't materialize the string); only a new pattern interns.
@@ -231,10 +234,15 @@ func (d *Digester) Frame(tsNanos int64, data []byte, wireLen int) error {
 	}
 
 	// Flow accounting on the canonical key.
-	key := extractFlowKey(layers).Canonical()
+	key := d.rec.Flow.Canonical()
 	d.sampleSeen[key] = struct{}{}
 	return d.flows.Observe(key, tsNanos, wireLen)
 }
+
+// Record returns the acap record of the frame last passed to Frame:
+// what DigestFrame returns for the same frame. The record and its Stack
+// are borrowed: the next Frame overwrites them.
+func (d *Digester) Record() *Record { return &d.rec }
 
 // DigestStream runs a pcap.Stream through the digester as one sample.
 func (d *Digester) DigestStream(site string, s pcap.Stream) error {

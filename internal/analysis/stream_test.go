@@ -6,6 +6,8 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/flowstore"
@@ -75,7 +77,8 @@ func hostileMutate(corpus [][][]equivFrame) {
 
 // runBoth feeds the corpus through the in-memory pipeline (acaps + raw
 // frame list) and the streaming digester (spilling aggressively) and
-// returns both sides' views.
+// returns both sides' views. Every frame's Digester.Record must equal
+// its DigestFrame record.
 func runBoth(t *testing.T, corpus [][][]equivFrame, siteNames []string) (acaps []*Acap, raw [][]byte, d *Digester, spillPath string) {
 	t.Helper()
 	spillPath = filepath.Join(t.TempDir(), "flows.seg")
@@ -90,10 +93,18 @@ func runBoth(t *testing.T, corpus [][][]equivFrame, siteNames []string) (acaps [
 			a := &Acap{Site: siteNames[i]}
 			d.StartSample(siteNames[i])
 			for _, f := range smp {
-				a.Records = append(a.Records, DigestFrame(f.ts, f.data, f.wireLen))
+				rec := DigestFrame(f.ts, f.data, f.wireLen)
+				a.Records = append(a.Records, rec)
 				raw = append(raw, f.data)
 				if err := d.Frame(f.ts, f.data, f.wireLen); err != nil {
 					t.Fatal(err)
+				}
+				got := *d.Record()
+				if slices.Equal(got.Stack, rec.Stack) {
+					got.Stack = rec.Stack // nil and empty stacks encode alike
+				}
+				if !reflect.DeepEqual(got, rec) {
+					t.Fatalf("Digester.Record %+v, DigestFrame %+v", got, rec)
 				}
 			}
 			d.EndSample()

@@ -353,11 +353,23 @@ func (s *SpaceSaving) UnmarshalBinary(b []byte) error {
 // function, keeping summaries deterministic. Unlike SpaceSaving it has
 // no serialized form; convert keys and use SpaceSaving when a summary
 // must cross a process boundary.
+//
+// The entries sit in a min-heap ordered by (count, less), each entry
+// holding its own heap position, so the eviction victim — SpaceSaving's
+// minimum-count, smallest-key entry — is the root: eviction is O(log k)
+// and reuses the victim's entry instead of allocating one.
 type TopK[K comparable] struct {
 	k       int
-	entries map[K]*ssEntry
+	entries map[K]*topKEntry[K]
+	heap    []*topKEntry[K]
 	n       uint64
 	less    func(a, b K) bool
+}
+
+type topKEntry[K comparable] struct {
+	key        K
+	count, err uint64
+	pos        int
 }
 
 // NewTopK returns a summary tracking at most k keys; less orders keys
@@ -366,7 +378,12 @@ func NewTopK[K comparable](k int, less func(a, b K) bool) *TopK[K] {
 	if k < 1 {
 		panic("sketch: TopK k must be positive")
 	}
-	return &TopK[K]{k: k, entries: make(map[K]*ssEntry, k), less: less}
+	return &TopK[K]{
+		k:       k,
+		entries: make(map[K]*topKEntry[K], k),
+		heap:    make([]*topKEntry[K], 0, k),
+		less:    less,
+	}
 }
 
 // N returns the total weight observed.
@@ -377,21 +394,67 @@ func (s *TopK[K]) Add(key K, w uint64) {
 	s.n += w
 	if e, ok := s.entries[key]; ok {
 		e.count += w
+		s.down(e.pos)
 		return
 	}
-	if len(s.entries) < s.k {
-		s.entries[key] = &ssEntry{count: w}
+	if len(s.heap) < s.k {
+		e := &topKEntry[K]{key: key, count: w, pos: len(s.heap)}
+		s.entries[key] = e
+		s.heap = append(s.heap, e)
+		s.up(e.pos)
 		return
 	}
-	var minKey K
-	var minE *ssEntry
-	for k, e := range s.entries {
-		if minE == nil || e.count < minE.count || (e.count == minE.count && s.less(k, minKey)) {
-			minKey, minE = k, e
+	e := s.heap[0]
+	delete(s.entries, e.key)
+	e.key, e.err = key, e.count
+	e.count += w
+	s.entries[key] = e
+	s.down(0)
+}
+
+// before orders heap entries: lower count first, then the less order.
+func (s *TopK[K]) before(a, b *topKEntry[K]) bool {
+	if a.count != b.count {
+		return a.count < b.count
+	}
+	return s.less(a.key, b.key)
+}
+
+func (s *TopK[K]) swap(i, j int) {
+	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
+	s.heap[i].pos = i
+	s.heap[j].pos = j
+}
+
+// up sifts a newly appended heap[i] toward the root.
+func (s *TopK[K]) up(i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !s.before(s.heap[i], s.heap[p]) {
+			return
 		}
+		s.swap(i, p)
+		i = p
 	}
-	delete(s.entries, minKey)
-	s.entries[key] = &ssEntry{count: minE.count + w, err: minE.count}
+}
+
+// down sifts heap[i] toward the leaves, after its count grew or the
+// root was handed to a newcomer.
+func (s *TopK[K]) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(s.heap) {
+			return
+		}
+		if r := c + 1; r < len(s.heap) && s.before(s.heap[r], s.heap[c]) {
+			c = r
+		}
+		if !s.before(s.heap[c], s.heap[i]) {
+			return
+		}
+		s.swap(i, c)
+		i = c
+	}
 }
 
 // HeavyK is one TopK entry.
@@ -404,9 +467,9 @@ type HeavyK[K comparable] struct {
 // Top returns up to n entries by estimated count descending, ties
 // broken by the less order ascending. n <= 0 returns all entries.
 func (s *TopK[K]) Top(n int) []HeavyK[K] {
-	out := make([]HeavyK[K], 0, len(s.entries))
-	for k, e := range s.entries {
-		out = append(out, HeavyK[K]{Key: k, Count: e.count, Err: e.err})
+	out := make([]HeavyK[K], 0, len(s.heap))
+	for _, e := range s.heap {
+		out = append(out, HeavyK[K]{Key: e.key, Count: e.count, Err: e.err})
 	}
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Count != out[j].Count {

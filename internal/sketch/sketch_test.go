@@ -212,7 +212,8 @@ func TestHash64Avalanche(t *testing.T) {
 // FuzzSketchMerge checks the core merge laws on arbitrary item streams:
 // HLL merge must equal the union stream register-for-register, and
 // space-saving merge must preserve total weight, capacity, and the
-// lower-bound invariant.
+// lower-bound invariant. It also holds TopK's heap to SpaceSaving's
+// eviction scan over the whole stream.
 func FuzzSketchMerge(f *testing.F) {
 	f.Add([]byte("abcdefgh"), uint8(3))
 	f.Add([]byte{0, 1, 2, 3, 250, 251, 252, 253}, uint8(1))
@@ -278,27 +279,55 @@ func FuzzSketchMerge(f *testing.F) {
 		if !bytes.Equal(enc, enc2) {
 			t.Fatal("canonical encoding not stable")
 		}
+
+		k := 1 + int(split>>5)
+		ss := NewSpaceSaving(k)
+		tk := NewTopK[string](k, func(a, b string) bool { return a < b })
+		for _, it := range items {
+			ss.Add(string(it))
+			tk.Add(string(it), 1)
+		}
+		requireTopKEqual(t, ss, tk)
 	})
 }
 
-func TestTopKMatchesSpaceSaving(t *testing.T) {
-	// On the same stream, TopK[string] with lexicographic less must
-	// behave exactly like the string SpaceSaving.
-	ss := NewSpaceSaving(5)
-	tk := NewTopK[string](5, func(a, b string) bool { return a < b })
-	rng := rand.New(rand.NewSource(9))
-	for i := 0; i < 2000; i++ {
-		key := fmt.Sprintf("k%d", rng.Intn(40))
-		ss.Add(key)
-		tk.Add(key, 1)
-	}
+// requireTopKEqual fails unless tk's summary equals ss's entry for entry.
+func requireTopKEqual(t *testing.T, ss *SpaceSaving, tk *TopK[string]) {
+	t.Helper()
 	a, b := ss.Top(0), tk.Top(0)
-	if len(a) != len(b) {
-		t.Fatalf("sizes differ: %d vs %d", len(a), len(b))
+	if len(a) != len(b) || ss.N() != tk.N() {
+		t.Fatalf("sizes differ: %d entries (N %d) vs %d (N %d)", len(a), ss.N(), len(b), tk.N())
 	}
 	for i := range a {
 		if a[i].Key != b[i].Key || a[i].Count != b[i].Count || a[i].Err != b[i].Err {
 			t.Fatalf("entry %d: %+v vs %+v", i, a[i], b[i])
 		}
+	}
+}
+
+func TestTopKMatchesSpaceSaving(t *testing.T) {
+	// On the same stream, TopK[string] with lexicographic less must
+	// behave exactly like the string SpaceSaving: the heap must evict the
+	// entry the scan picks, at any capacity and with weighted adds
+	// (weight 0 included, which ties a newcomer with its victim).
+	for _, tc := range []struct {
+		k        int
+		weighted bool
+	}{{1, false}, {1, true}, {5, false}, {5, true}, {64, true}} {
+		t.Run(fmt.Sprintf("k=%d/weighted=%v", tc.k, tc.weighted), func(t *testing.T) {
+			ss := NewSpaceSaving(tc.k)
+			tk := NewTopK[string](tc.k, func(a, b string) bool { return a < b })
+			rng := rand.New(rand.NewSource(9))
+			for i := 0; i < 2000; i++ {
+				key := fmt.Sprintf("k%d", rng.Intn(40*tc.k))
+				w := uint64(1)
+				if tc.weighted {
+					w = uint64(rng.Intn(5))
+				}
+				ss.AddWeighted(key, w)
+				tk.Add(key, w)
+			}
+			requireTopKEqual(t, ss, tk)
+		})
 	}
 }

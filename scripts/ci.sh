@@ -38,6 +38,9 @@ fi
 
 go build ./...
 go vet ./...
+# The benchmark is its own module; vetting it compiles pwbench against
+# this tree, so an API change that breaks the benchmark fails here.
+go -C bench vet ./...
 go test -race -short ./...
 sh scripts/bench.sh -smoke
 go test -run='^$' -fuzz='^FuzzParsePacket$' -fuzztime=5s ./internal/wire
@@ -49,10 +52,11 @@ go test -run='^$' -fuzz='^FuzzSketchMerge$' -fuzztime=5s ./internal/sketch
 go test -run='^$' -fuzz='^FuzzRingSegment$' -fuzztime=5s ./internal/livemon
 
 # Streaming-analytics equivalence gate: streamed digest vs materialized
-# baseline on clean and hostile corpora (internal/analysis), and the
-# pwanalyze CLI end-to-end with spilling forced (cmd/pwanalyze).
-go test -run '^TestStreamEquivalence' ./internal/analysis
-go test -run '^TestRunMatchesInMemoryPipeline$' ./cmd/pwanalyze
+# baseline on clean and hostile corpora, and the streamed acap encoder
+# vs encoding/json (internal/analysis); the pwanalyze CLI end-to-end
+# with spilling forced, and its acaps vs analysis.Digest (cmd/pwanalyze).
+go test -run '^(TestStreamEquivalence|TestAcapEncoderMatchesJSON$)' ./internal/analysis
+go test -run '^(TestRunMatchesInMemoryPipeline|TestAcapMatchesDigest)$' ./cmd/pwanalyze
 echo "streaming equivalence gate: digester matches in-memory pipeline byte-for-byte"
 
 go run ./cmd/pwhealth -validate
