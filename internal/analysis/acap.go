@@ -13,7 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"net/netip"
 	"strconv"
 
 	"repro/internal/pcap"
@@ -284,9 +283,9 @@ func appendRecordJSON(b []byte, r *Record) []byte {
 	// An endpoint's text is never empty, so src and dst are always
 	// present, and never needs JSON escaping.
 	b = append(b, `,"src":"`...)
-	b = appendEndpoint(b, f.Src)
+	b = f.Src.AppendTo(b)
 	b = append(b, `","dst":"`...)
-	b = appendEndpoint(b, f.Dst)
+	b = f.Dst.AppendTo(b)
 	b = append(b, '"')
 	b = appendNonZero(b, `,"proto":`, int64(f.Proto))
 	b = appendNonZero(b, `,"sport":`, int64(f.SrcPort))
@@ -304,18 +303,6 @@ func appendNonZero(b []byte, key string, v int64) []byte {
 		return b
 	}
 	return strconv.AppendInt(append(b, key...), v, 10)
-}
-
-// appendEndpoint appends ep.String(), without allocating for the IP
-// families and the zero endpoint (the only kinds a FlowKey holds).
-func appendEndpoint(b []byte, ep wire.Endpoint) []byte {
-	switch ep.Type() {
-	case wire.EndpointIPv4:
-		return netip.AddrFrom4([4]byte(ep.Raw())).AppendTo(b)
-	case wire.EndpointIPv6:
-		return netip.AddrFrom16([16]byte(ep.Raw())).AppendTo(b)
-	}
-	return append(b, ep.String()...)
 }
 
 // StackString renders a record's header stack like

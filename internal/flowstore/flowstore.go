@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"sync"
 
 	"repro/internal/sketch"
 	"repro/internal/storefault"
@@ -266,84 +267,88 @@ func endpointRawLen(t wire.EndpointType) int {
 	}
 }
 
-func decodeCols(b []byte, m *segMeta) ([]Rec, error) {
-	get := func() (uint64, error) {
-		v, n := binary.Uvarint(b)
-		if n <= 0 {
-			return 0, fmt.Errorf("flowstore: truncated column data")
-		}
-		b = b[n:]
-		return v, nil
-	}
-	n := m.count
-	recs := make([]Rec, n)
-	for i := 0; i < n; i++ {
-		d, err := get()
-		if err != nil {
-			return nil, err
-		}
-		recs[i].FirstNs = m.minNs + int64(d)
+// decodeCols decodes a column block holding len(recs) rows into recs,
+// overwriting every field.
+func decodeCols(b []byte, m *segMeta, recs []Rec) error {
+	n := len(recs)
+	d := uvarints{b: b}
+	for i := range recs {
 		recs[i].Site = m.site
+		recs[i].FirstNs = m.minNs + int64(d.next())
 	}
-	for i := 0; i < n; i++ {
-		d, err := get()
-		if err != nil {
-			return nil, err
-		}
-		recs[i].LastNs = recs[i].FirstNs + int64(d)
+	for i := range recs {
+		recs[i].LastNs = recs[i].FirstNs + int64(d.next())
 	}
-	for _, col := range []func(i int, v uint64){
-		func(i int, v uint64) { recs[i].FirstSeq = v },
-		func(i int, v uint64) { recs[i].Frames = v },
-		func(i int, v uint64) { recs[i].Bytes = v },
-		func(i int, v uint64) { recs[i].Key.VLANID = uint16(v) },
-		func(i int, v uint64) { recs[i].Key.MPLSTop = uint32(v) },
-	} {
-		for i := 0; i < n; i++ {
-			v, err := get()
-			if err != nil {
-				return nil, err
-			}
-			col(i, v)
-		}
+	for i := range recs {
+		recs[i].FirstSeq = d.next()
 	}
-	if len(b) < n {
-		return nil, fmt.Errorf("flowstore: truncated proto column")
+	for i := range recs {
+		recs[i].Frames = d.next()
 	}
-	for i := 0; i < n; i++ {
-		recs[i].Key.Proto = wire.LayerType(b[i])
+	for i := range recs {
+		recs[i].Bytes = d.next()
 	}
-	b = b[n:]
-	for _, col := range []func(i int, v uint64){
-		func(i int, v uint64) { recs[i].Key.SrcPort = uint16(v) },
-		func(i int, v uint64) { recs[i].Key.DstPort = uint16(v) },
-	} {
-		for i := 0; i < n; i++ {
-			v, err := get()
-			if err != nil {
-				return nil, err
-			}
-			col(i, v)
-		}
+	for i := range recs {
+		recs[i].Key.VLANID = uint16(d.next())
 	}
+	for i := range recs {
+		recs[i].Key.MPLSTop = uint32(d.next())
+	}
+	if d.bad {
+		return fmt.Errorf("flowstore: truncated column data")
+	}
+	if len(d.b) < n {
+		return fmt.Errorf("flowstore: truncated proto column")
+	}
+	for i := range recs {
+		recs[i].Key.Proto = wire.LayerType(d.b[i])
+	}
+	d.b = d.b[n:]
+	for i := range recs {
+		recs[i].Key.SrcPort = uint16(d.next())
+	}
+	for i := range recs {
+		recs[i].Key.DstPort = uint16(d.next())
+	}
+	if d.bad {
+		return fmt.Errorf("flowstore: truncated column data")
+	}
+	b = d.b
 	if len(b) < 2*n {
-		return nil, fmt.Errorf("flowstore: truncated endpoint-type column")
+		return fmt.Errorf("flowstore: truncated endpoint-type column")
 	}
 	types := b[:2*n]
 	b = b[2*n:]
-	for i := 0; i < n; i++ {
+	for i := range recs {
 		st := wire.EndpointType(types[2*i])
 		dt := wire.EndpointType(types[2*i+1])
 		sl, dl := endpointRawLen(st), endpointRawLen(dt)
 		if len(b) < sl+dl {
-			return nil, fmt.Errorf("flowstore: truncated endpoint bytes")
+			return fmt.Errorf("flowstore: truncated endpoint bytes")
 		}
 		recs[i].Key.Src = wire.NewRawEndpoint(st, b[:sl])
 		b = b[sl:]
 		recs[i].Key.Dst = wire.NewRawEndpoint(dt, b[:dl])
 		b = b[dl:]
 	}
-	return recs, nil
+	return nil
+}
+
+// uvarints reads consecutive uvarints from b. After the first malformed
+// or missing value, bad is set and every read returns 0.
+type uvarints struct {
+	b   []byte
+	bad bool
+}
+
+func (d *uvarints) next() uint64 {
+	v, n := binary.Uvarint(d.b)
+	if n <= 0 {
+		d.b, d.bad = nil, true
+		return 0
+	}
+	d.b = d.b[n:]
+	return v
 }
 
 // Writer appends segments to a flow-store file.
@@ -496,11 +501,23 @@ func readSegHeader(f io.ReaderAt, off, size int64) (*segMeta, int64, bool) {
 	return m, m.colsOff + int64(m.colsLen), true
 }
 
-// readCols reads and validates a segment's column block.
-func (s *Store) readCols(m *segMeta) ([]Rec, error) { return readColsAt(s.f, m) }
+// segBuf holds one segment's column block and its decoded rows. Scan
+// takes one from segPool per call, so concurrent scans share none and
+// a scan's memory is bounded by its largest segment.
+type segBuf struct {
+	cols []byte
+	recs []Rec
+}
 
-func readColsAt(f io.ReaderAt, m *segMeta) ([]Rec, error) {
-	buf := make([]byte, m.colsLen)
+var segPool = sync.Pool{New: func() any { return new(segBuf) }}
+
+// read reads, checks and decodes m's column block into sb. The rows are
+// valid until the next read into sb.
+func (sb *segBuf) read(f io.ReaderAt, m *segMeta) ([]Rec, error) {
+	if cap(sb.cols) < int(m.colsLen) {
+		sb.cols = make([]byte, m.colsLen)
+	}
+	buf := sb.cols[:m.colsLen]
 	if _, err := f.ReadAt(buf, m.colsOff); err != nil {
 		return nil, fmt.Errorf("flowstore: reading columns: %w", err)
 	}
@@ -516,7 +533,20 @@ func readColsAt(f io.ReaderAt, m *segMeta) ([]Rec, error) {
 	if crc32.ChecksumIEEE(body) != crc {
 		return nil, fmt.Errorf("flowstore: column block CRC mismatch")
 	}
-	return decodeCols(body, m)
+	// Every row takes at least one byte in each column, so a count above
+	// the block length is truncated data; checking before decoding bounds
+	// the allocation a corrupt count can cause.
+	if m.count > len(body) {
+		return nil, fmt.Errorf("flowstore: truncated column data")
+	}
+	if cap(sb.recs) < m.count {
+		sb.recs = make([]Rec, m.count)
+	}
+	recs := sb.recs[:m.count]
+	if err := decodeCols(body, m, recs); err != nil {
+		return nil, err
+	}
+	return recs, nil
 }
 
 // Torn reports whether the file ended in a damaged segment that was
@@ -542,16 +572,24 @@ type Query struct {
 	Limit        int
 }
 
-// Query returns matching rows in storage order (segment order, then row
-// order within a segment). Segment metadata prunes the scan: segments
+// Scan calls fn on each row matching q, in storage order (segment order,
+// then row order within a segment), until fn returns false or q.Limit
+// rows have been passed. Segment metadata prunes the scan: segments
 // outside the time range, with a different site label, or whose bloom
 // filter excludes the key are skipped without touching column data.
-func (s *Store) Query(q Query) ([]Rec, error) {
+// Every other segment is read, CRC-checked and decoded once, into
+// buffers reused across calls, so the row is lent to fn only for the
+// duration of the call; a caller that keeps it must copy it. Scan may
+// run concurrently with other scans of the same Store.
+func (s *Store) Scan(q Query, fn func(*Rec) bool) error {
 	var keyHash uint64
 	if q.Key != nil {
-		keyHash = sketch.Hash64(appendKeyBytes(nil, *q.Key))
+		var kb [64]byte
+		keyHash = sketch.Hash64(appendKeyBytes(kb[:0], *q.Key))
 	}
-	var out []Rec
+	sb := segPool.Get().(*segBuf)
+	defer segPool.Put(sb)
+	passed := 0
 	for _, m := range s.segs {
 		if q.ToNs > 0 && m.minNs > q.ToNs {
 			continue
@@ -565,11 +603,12 @@ func (s *Store) Query(q Query) ([]Rec, error) {
 		if q.Key != nil && !m.filter.maybe(keyHash) {
 			continue
 		}
-		recs, err := s.readCols(m)
+		recs, err := sb.read(s.f, m)
 		if err != nil {
-			return nil, err
+			return err
 		}
-		for _, r := range recs {
+		for i := range recs {
+			r := &recs[i]
 			if q.ToNs > 0 && r.FirstNs > q.ToNs {
 				continue
 			}
@@ -579,29 +618,35 @@ func (s *Store) Query(q Query) ([]Rec, error) {
 			if q.Key != nil && r.Key != *q.Key {
 				continue
 			}
-			out = append(out, r)
-			if q.Limit > 0 && len(out) >= q.Limit {
-				return out, nil
+			if !fn(r) {
+				return nil
 			}
-		}
-	}
-	return out, nil
-}
-
-// ForEach streams every stored row in storage order.
-func (s *Store) ForEach(fn func(Rec) error) error {
-	for _, m := range s.segs {
-		recs, err := s.readCols(m)
-		if err != nil {
-			return err
-		}
-		for _, r := range recs {
-			if err := fn(r); err != nil {
-				return err
+			passed++
+			if q.Limit > 0 && passed >= q.Limit {
+				return nil
 			}
 		}
 	}
 	return nil
+}
+
+// Query returns copies of the rows Scan passes for q.
+func (s *Store) Query(q Query) ([]Rec, error) {
+	var out []Rec
+	if err := s.Scan(q, func(r *Rec) bool { out = append(out, *r); return true }); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// ForEach streams every stored row in storage order, stopping at the
+// first error fn returns.
+func (s *Store) ForEach(fn func(Rec) error) error {
+	var ferr error
+	if err := s.Scan(Query{}, func(r *Rec) bool { ferr = fn(*r); return ferr == nil }); err != nil {
+		return err
+	}
+	return ferr
 }
 
 // VerifyReport is one scrub pass over a store file. Unlike Open — which
@@ -642,11 +687,12 @@ func Verify(fsys storefault.FS, path string) (VerifyReport, error) {
 		return VerifyReport{}, fmt.Errorf("flowstore: %w", err)
 	}
 	rep := VerifyReport{Size: size}
+	var sb segBuf
 	off, damaged := int64(0), false
 	for off < size {
 		m, next, ok := readSegHeader(f, off, size)
 		if ok {
-			if _, err := readColsAt(f, m); err != nil {
+			if _, err := sb.read(f, m); err != nil {
 				ok = false
 			}
 		}

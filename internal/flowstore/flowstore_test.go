@@ -245,9 +245,12 @@ func fileSize(t *testing.T, w *Writer) int {
 // FuzzSegmentCodec feeds arbitrary bytes through the store opener and
 // query path: decoding must never panic, and any file the fuzzer
 // constructs that opens with intact segments must read back without
-// out-of-bounds access.
+// out-of-bounds access. On a store whose rows all read back, Query at
+// limits 1 and 3, with and without a time window, must return exactly
+// the first matching rows of ForEach, and a Scan whose callback stops
+// early must return nil.
 func FuzzSegmentCodec(f *testing.F) {
-	// Seed with a real store file.
+	// Seed with a real store file, and one of several segments.
 	dir := f.TempDir()
 	path := filepath.Join(dir, "seed.seg")
 	w, err := Create(path)
@@ -263,6 +266,19 @@ func FuzzSegmentCodec(f *testing.F) {
 	f.Add(seed)
 	f.Add(seed[:len(seed)/2])
 	f.Add(bytes.Repeat([]byte{'P', 'W', 'F', 'S'}, 8))
+	w, err = Create(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	w.Append("a", testRecs(4, "a", 1e9))
+	w.Append("b", testRecs(3, "b", 3e9))
+	w.Append("a", testRecs(2, "a", 2e9))
+	w.Close()
+	multi, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(multi)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p := filepath.Join(t.TempDir(), "fuzz.seg")
 		if err := os.WriteFile(p, data, 0o644); err != nil {
@@ -273,12 +289,51 @@ func FuzzSegmentCodec(f *testing.F) {
 			return
 		}
 		defer st.Close()
-		n := 0
-		st.ForEach(func(Rec) error { n++; return nil })
-		if int64(n) > st.Rows() {
-			t.Fatalf("ForEach yielded %d rows, metadata says %d", n, st.Rows())
+		var all []Rec
+		ferr := st.ForEach(func(r Rec) error { all = append(all, r); return nil })
+		if int64(len(all)) > st.Rows() {
+			t.Fatalf("ForEach yielded %d rows, metadata says %d", len(all), st.Rows())
 		}
 		st.Query(Query{FromNs: 1, ToNs: 1 << 40, Limit: 10})
+		if ferr != nil {
+			return
+		}
+		windows := []Query{{}, {FromNs: 1, ToNs: 1 << 40}}
+		if len(all) > 0 {
+			mid := all[len(all)/2]
+			windows = append(windows, Query{FromNs: mid.LastNs, ToNs: mid.LastNs})
+		}
+		for _, win := range windows {
+			for _, limit := range []int{1, 3} {
+				q := win
+				q.Limit = limit
+				var want []Rec
+				for _, r := range all {
+					if len(want) < limit && !(q.ToNs > 0 && r.FirstNs > q.ToNs) && !(q.FromNs > 0 && r.LastNs < q.FromNs) {
+						want = append(want, r)
+					}
+				}
+				got, err := st.Query(q)
+				if err != nil {
+					t.Fatalf("Query(%+v): %v", q, err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("Query(%+v) = %d rows, want %d", q, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("Query(%+v) row %d = %+v, want %+v", q, i, got[i], want[i])
+					}
+				}
+			}
+		}
+		if len(all) == 0 {
+			return
+		}
+		calls := 0
+		if err := st.Scan(Query{}, func(*Rec) bool { calls++; return false }); err != nil || calls != 1 {
+			t.Fatalf("early-stopped Scan: err %v after %d calls, want nil after 1", err, calls)
+		}
 	})
 }
 

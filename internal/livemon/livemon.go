@@ -34,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/flowstore"
 	"repro/internal/health"
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -105,10 +104,13 @@ type Server struct {
 	provPath    string
 	provFlush   func() error
 
-	// flowPath backs /api/flows (SetFlowStore); the store file is opened
-	// read-only per request, so handlers never share state with the
-	// analysis pipeline that appends to it.
+	// flowPath backs /api/flows (SetFlowStore). flows is the read-only
+	// handle opened from it, reused while a stat on each request shows
+	// the file unchanged; handlers never share state with the analysis
+	// pipeline that appends to the file. flowMu guards both.
+	flowMu   sync.Mutex
 	flowPath string
+	flows    *flowHandle
 }
 
 // New builds a Server: opens (and, after a crash, recovers) the ring
@@ -387,99 +389,6 @@ func (s *Server) handleProvenance(w http.ResponseWriter, r *http.Request) {
 	http.ServeFile(w, r, s.provPath)
 }
 
-// SetFlowStore points /api/flows at a columnar flow store file written
-// by the streaming analysis pipeline (flowstore.Writer). The file is
-// opened fresh on each request, so queries see every segment the
-// analyzer has appended so far — including ones written after attach.
-// An empty path detaches; the endpoint then answers 404.
-func (s *Server) SetFlowStore(path string) { s.flowPath = path }
-
-// flowRowDTO is one /api/flows result row: the flow 5-tuple plus
-// virtualization tags and the totals observed over [first_ns, last_ns].
-type flowRowDTO struct {
-	Site    string `json:"site"`
-	VLANID  uint16 `json:"vlan_id,omitempty"`
-	MPLSTop uint32 `json:"mpls_label,omitempty"`
-	Src     string `json:"src"`
-	Dst     string `json:"dst"`
-	Proto   string `json:"proto"`
-	SrcPort uint16 `json:"src_port,omitempty"`
-	DstPort uint16 `json:"dst_port,omitempty"`
-	FirstNs int64  `json:"first_ns"`
-	LastNs  int64  `json:"last_ns"`
-	Frames  uint64 `json:"frames"`
-	Bytes   uint64 `json:"bytes"`
-}
-
-// handleFlows answers /api/flows?from=&to=&site=&limit= against the
-// attached flow store. from/to are sim-nanosecond bounds (a row matches
-// when its [first_ns, last_ns] span intersects the range), site filters
-// by capture site, and limit caps the result (default 1000, 0 keeps the
-// default; segment pruning happens inside the store).
-func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
-	if s.flowPath == "" {
-		http.Error(w, "no flow store attached", http.StatusNotFound)
-		return
-	}
-	q := flowstore.Query{Site: r.URL.Query().Get("site"), Limit: 1000}
-	for _, p := range []struct {
-		name string
-		dst  *int64
-	}{{"from", &q.FromNs}, {"to", &q.ToNs}} {
-		if v := r.URL.Query().Get(p.name); v != "" {
-			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
-				http.Error(w, "bad "+p.name, http.StatusBadRequest)
-				return
-			}
-			*p.dst = n
-		}
-	}
-	if v := r.URL.Query().Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 {
-			http.Error(w, "bad limit", http.StatusBadRequest)
-			return
-		}
-		q.Limit = n
-	}
-	st, err := flowstore.Open(s.flowPath)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	defer st.Close()
-	recs, err := st.Query(q)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	rows := make([]flowRowDTO, 0, len(recs))
-	for _, rec := range recs {
-		rows = append(rows, flowRowDTO{
-			Site:    rec.Site,
-			VLANID:  rec.Key.VLANID,
-			MPLSTop: rec.Key.MPLSTop,
-			Src:     rec.Key.Src.String(),
-			Dst:     rec.Key.Dst.String(),
-			Proto:   rec.Key.Proto.String(),
-			SrcPort: rec.Key.SrcPort,
-			DstPort: rec.Key.DstPort,
-			FirstNs: rec.FirstNs,
-			LastNs:  rec.LastNs,
-			Frames:  rec.Frames,
-			Bytes:   rec.Bytes,
-		})
-	}
-	writeJSON(w, struct {
-		Segments int          `json:"segments"`
-		Rows     int64        `json:"rows"`
-		Torn     bool         `json:"torn"`
-		Matched  int          `json:"matched"`
-		Flows    []flowRowDTO `json:"flows"`
-	}{st.Segments(), st.Rows(), st.Torn(), len(rows), rows})
-}
-
 // Handler builds the route table. Exposed separately from
 // ListenAndServe so tests can drive it with httptest.
 func (s *Server) Handler() http.Handler {
@@ -719,6 +628,9 @@ func (s *Server) Close() error {
 			err = cerr
 		}
 		s.mu.Unlock()
+		s.flowMu.Lock()
+		s.retireFlowsLocked()
+		s.flowMu.Unlock()
 	})
 	return err
 }

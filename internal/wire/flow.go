@@ -3,6 +3,7 @@ package wire
 import (
 	"fmt"
 	"net/netip"
+	"strconv"
 )
 
 // EndpointType distinguishes address families in an Endpoint.
@@ -53,21 +54,24 @@ func (e Endpoint) Raw() []byte { return e.raw[:e.len] }
 
 // String renders the endpoint in its family's conventional form.
 func (e Endpoint) String() string {
+	var buf [64]byte
+	return string(e.AppendTo(buf[:0]))
+}
+
+// AppendTo appends the endpoint's String form to b and returns the
+// extended buffer. It allocates only when b must grow.
+func (e Endpoint) AppendTo(b []byte) []byte {
 	switch e.typ {
 	case EndpointMAC:
-		var m MAC
-		copy(m[:], e.raw[:6])
-		return m.String()
+		return appendMAC(b, MAC(e.raw[:6]))
 	case EndpointIPv4:
-		a := netip.AddrFrom4([4]byte(e.raw[:4]))
-		return a.String()
+		return netip.AddrFrom4([4]byte(e.raw[:4])).AppendTo(b)
 	case EndpointIPv6:
-		a := netip.AddrFrom16(e.raw)
-		return a.String()
+		return netip.AddrFrom16(e.raw).AppendTo(b)
 	case EndpointTCPPort, EndpointUDPPort:
-		return fmt.Sprintf("%d", uint16(e.raw[0])<<8|uint16(e.raw[1]))
+		return strconv.AppendUint(b, uint64(e.raw[0])<<8|uint64(e.raw[1]), 10)
 	default:
-		return "invalid"
+		return append(b, "invalid"...)
 	}
 }
 

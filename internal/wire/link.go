@@ -61,7 +61,20 @@ type MAC [6]byte
 
 // String renders the conventional colon-separated form.
 func (m MAC) String() string {
-	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", m[0], m[1], m[2], m[3], m[4], m[5])
+	var buf [17]byte
+	return string(appendMAC(buf[:0], m))
+}
+
+// appendMAC appends m as six colon-separated lowercase hex pairs.
+func appendMAC(b []byte, m MAC) []byte {
+	const hex = "0123456789abcdef"
+	for i, x := range m {
+		if i > 0 {
+			b = append(b, ':')
+		}
+		b = append(b, hex[x>>4], hex[x&0xf])
+	}
+	return b
 }
 
 // EthernetHeaderLen is the length of an Ethernet II header (no FCS).

@@ -53,9 +53,11 @@ go test -run='^$' -fuzz='^FuzzRingSegment$' -fuzztime=5s ./internal/livemon
 
 # Streaming-analytics equivalence gate: streamed digest vs materialized
 # baseline on clean and hostile corpora, and the streamed acap encoder
-# vs encoding/json (internal/analysis); the pwanalyze CLI end-to-end
-# with spilling forced, and its acaps vs analysis.Digest (cmd/pwanalyze).
-go test -run '^(TestStreamEquivalence|TestAcapEncoderMatchesJSON$)' ./internal/analysis
+# vs encoding/json (internal/analysis); the /api/flows encoder vs
+# encoding/json, and its revalidated store handle seeing every change to
+# the file (internal/livemon); the pwanalyze CLI end-to-end with
+# spilling forced, and its acaps vs analysis.Digest (cmd/pwanalyze).
+go test -run '^(TestStreamEquivalence|TestAcapEncoderMatchesJSON$|TestFlowsEndpointMatchesJSON$|TestFlowsEndpointSeesStoreChanges$)' ./internal/analysis ./internal/livemon
 go test -run '^(TestRunMatchesInMemoryPipeline|TestAcapMatchesDigest)$' ./cmd/pwanalyze
 echo "streaming equivalence gate: digester matches in-memory pipeline byte-for-byte"
 
