@@ -3,7 +3,8 @@
 // every reported metric (ns/op, B/op, allocs/op, and custom units like
 // ns/frame or %loss@11G). With -count > 1 runs of the same benchmark,
 // the run with the lowest ns/op wins — the conventional "best of N"
-// that filters scheduler noise.
+// that filters scheduler noise. The report is stamped with the host's
+// core count and the GOMAXPROCS the benchmarks ran with.
 //
 // Usage:
 //
@@ -40,6 +41,7 @@ type report struct {
 	CPU         string           `json:"cpu,omitempty"`
 	Pkg         string           `json:"pkg,omitempty"`
 	Cores       int              `json:"cores"`
+	GOMAXPROCS  int              `json:"gomaxprocs"` // of the benchmark run, else of this process
 	Benchmarks  map[string]entry `json:"benchmarks"`
 }
 
@@ -49,7 +51,9 @@ type addList []string
 func (a *addList) String() string     { return strings.Join(*a, ",") }
 func (a *addList) Set(s string) error { *a = append(*a, s); return nil }
 
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+(.+)$`)
+// benchLine captures a benchmark's name, the GOMAXPROCS suffix `go
+// test` appends to it, its iteration count and its metrics.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+(.+)$`)
 
 func main() {
 	var adds addList
@@ -59,6 +63,7 @@ func main() {
 	rep := report{
 		GeneratedBy: "scripts/bench.sh (cmd/benchjson)",
 		Cores:       runtime.NumCPU(),
+		GOMAXPROCS:  runtime.GOMAXPROCS(0),
 		Benchmarks:  map[string]entry{},
 	}
 
@@ -85,8 +90,11 @@ func main() {
 			continue
 		}
 		name := strings.TrimPrefix(m[1], "Benchmark")
-		iters, _ := strconv.ParseInt(m[2], 10, 64)
-		metrics, ok := parseMetrics(m[3])
+		if procs, err := strconv.Atoi(m[2]); err == nil {
+			rep.GOMAXPROCS = procs // what the benchmarks ran with
+		}
+		iters, _ := strconv.ParseInt(m[3], 10, 64)
+		metrics, ok := parseMetrics(m[4])
 		if !ok {
 			continue
 		}

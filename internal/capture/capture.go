@@ -176,9 +176,9 @@ func (s Stats) LossPercent() units.Percent {
 }
 
 // frameDone is a pooled completion record for one in-flight frame: the
-// state its kernel event needs, carried through AtArg instead of a
-// per-frame closure. The delivered frame's bytes are only borrowed, so
-// the record keeps its own copy of the stored prefix in data. Records
+// state its kernel event needs, carried as the event's argument instead
+// of a per-frame closure. The delivered frame's bytes are only borrowed,
+// so the record keeps its own copy of the stored prefix in data. Records
 // recycle through Engine.doneFree with their buffers, so the
 // steady-state per-frame path allocates nothing.
 type frameDone struct {
@@ -195,6 +195,11 @@ type coreState struct {
 	queued      int
 	queuedBytes int64
 	busyUntil   sim.Time
+	// done is the core's completion stream. A frame completes at the
+	// core's new busyUntil, which only grows, so completions are
+	// scheduled in time order and the kernel keeps one heap entry per
+	// core however deep the Rx queue is.
+	done        *sim.FIFO
 	batchFrames int
 	batchBytes  int
 	// occupancy is the per-core queue-depth high-watermark gauge (nil
@@ -221,7 +226,7 @@ type Engine struct {
 	Stats Stats
 
 	// Completion-event pool: free list of frameDone records plus the
-	// method value dispatched through sim.Kernel.AtArg (bound once here
+	// method value every core's completion stream runs (bound once here
 	// so the per-frame path does not allocate a closure).
 	doneFree *frameDone
 	doneFn   func(any)
@@ -246,6 +251,9 @@ func NewEngine(k sim.Scheduler, cfg Config) (*Engine, error) {
 		cores: make([]coreState, cfg.Cores),
 	}
 	e.doneFn = e.frameDone
+	for i := range e.cores {
+		e.cores[i].done = sim.NewFIFO(e.doneFn)
+	}
 	if reg := cfg.Obs; reg != nil {
 		labels := append(append([]obs.Label(nil), cfg.ObsLabels...),
 			obs.L("method", cfg.Method.String()))
@@ -407,7 +415,7 @@ func (e *Engine) DeliverFrame(now sim.Time, f switchsim.Frame) {
 	fd.size = f.Size
 	fd.stored = stored
 	fd.slot = slotBytes
-	e.sched.AtArg(done, e.doneFn, fd)
+	e.sched.FIFOAt(core.done, done, fd)
 }
 
 // SetPaused pauses or resumes the engine. A paused engine keeps
@@ -419,8 +427,8 @@ func (e *Engine) SetPaused(p bool) { e.paused = p }
 // Paused reports whether the engine is currently shedding all frames.
 func (e *Engine) Paused() bool { return e.paused }
 
-// frameDone completes one captured frame (the AtArg callback) and
-// returns the record to the pool.
+// frameDone completes one captured frame (the completion streams'
+// callback) and returns the record to the pool.
 func (e *Engine) frameDone(a any) {
 	fd := a.(*frameDone)
 	c := fd.core

@@ -20,6 +20,12 @@ import (
 // equal timestamp. The few frames due after the window's end (a late
 // ACK, SYN-ACK or response) get a pooled record owning a copy of their
 // bytes instead.
+//
+// Each active port's in-window frames go onto that port's FIFO stream:
+// a sample is sorted by time and every frame of a window is due by the
+// next window's start, so a port's frames are scheduled in time order
+// across windows too. Stragglers can fall after the next window's first
+// frames, so they are scheduled as plain events.
 type TrafficDriver struct {
 	sched sim.Scheduler
 	site  *testbed.Site
@@ -40,11 +46,12 @@ type TrafficDriver struct {
 	sample   []trafficgen.TimedFrame // SampleInto scratch
 	recs     []driverFrame           // the current window's frames
 	spare    *driverFrame            // free list of straggler records
+	streams  []*sim.FIFO             // in-window frames, one stream per ActivePorts index
 	fireFn   func(any)
 	windowFn func()
 }
 
-// driverFrame is one scheduled frame: the AtArg argument of
+// driverFrame is one scheduled frame: the event argument of
 // TrafficDriver.fire. Records of in-window frames live in
 // TrafficDriver.recs and borrow arena bytes; straggler records own a
 // copy and recycle through TrafficDriver.spare.
@@ -115,16 +122,18 @@ func (d *TrafficDriver) window() {
 		}
 		d.sample = frames
 		peer := d.ActivePorts[(pi+1)%len(d.ActivePorts)]
+		for len(d.streams) <= pi {
+			d.streams = append(d.streams, sim.NewFIFO(d.fireFn))
+		}
 		for _, tf := range frames {
-			var r *driverFrame
 			if tf.At > d.Window {
-				r = d.straggler(tf.Data)
-			} else {
-				d.recs = append(d.recs, driverFrame{data: tf.Data})
-				r = &d.recs[len(d.recs)-1]
+				r := d.straggler(tf.Data)
+				r.port, r.peer, r.dir = port, peer, tf.Dir
+				d.sched.AtArg(base+tf.At, d.fireFn, r)
+				continue
 			}
-			r.port, r.peer, r.dir = port, peer, tf.Dir
-			d.sched.AtArg(base+tf.At, d.fireFn, r)
+			d.recs = append(d.recs, driverFrame{data: tf.Data, port: port, peer: peer, dir: tf.Dir})
+			d.sched.FIFOAt(d.streams[pi], base+tf.At, &d.recs[len(d.recs)-1])
 		}
 	}
 	d.sched.At(base+d.Window, d.windowFn)
@@ -144,7 +153,7 @@ func (d *TrafficDriver) straggler(data []byte) *driverFrame {
 	return r
 }
 
-// fire crosses one frame over the switch (the AtArg callback). Transit
+// fire crosses one frame over the switch (the event callback). Transit
 // borrows the bytes only for the call, so a straggler record is free
 // for reuse as soon as it returns.
 func (d *TrafficDriver) fire(a any) {

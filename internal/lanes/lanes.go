@@ -618,6 +618,13 @@ func (l *Lane) AfterArg(d sim.Duration, fn func(any), arg any) sim.Handle {
 	return l.schedule(l.Now()+d, nil, fn, arg)
 }
 
+// FIFOAt implements sim.Scheduler. A lane stages FIFO events as plain
+// AtArg events: the barrier already rebuilds every staged call's serial
+// sequence number, and lane events cannot be cancelled anyway.
+func (l *Lane) FIFOAt(f *sim.FIFO, t sim.Time, arg any) {
+	l.schedule(t, nil, f.Func(), arg)
+}
+
 // Every implements sim.Scheduler. Note that a lane ticker's Stop only
 // takes effect while the lane is outside a window (lane events are not
 // cancellable); prefer flag-guarded self-rescheduling on dataplanes.

@@ -42,7 +42,10 @@ type netConfig struct {
 
 // node is one synthetic dataplane endpoint. All its state is touched
 // only by its own events (its lane), except the digest reads done by
-// the global observer at quiescent points.
+// the global observer at quiescent points. Besides its jittered ticks,
+// a node is a server whose completions go onto a sim.FIFO: on the
+// serial kernel they wait in the stream, on a lane they are staged as
+// plain events, and both must run identically.
 type node struct {
 	id    int
 	sched sim.Scheduler
@@ -51,6 +54,8 @@ type node struct {
 	out   *Channel
 	dig   uint64
 	stop  bool
+	srv   *sim.FIFO
+	busy  sim.Time // when the server's last queued job completes
 }
 
 const fnvOffset, fnvPrime = 14695981039346656037, 1099511628211
@@ -85,7 +90,8 @@ func (n *node) step() {
 	n.sched.After(n.cfg.stepPeriod, n.step)
 }
 
-// tick records itself and sometimes pushes a message into the ring.
+// tick records itself, sometimes pushes a message into the ring, and
+// sometimes queues a job on the node's server.
 func (n *node) tick() {
 	now := n.sched.Now()
 	n.fold(2, uint64(now))
@@ -97,6 +103,18 @@ func (n *node) tick() {
 			n.fold(4, payload)
 		}
 	}
+	if n.r.Bool(0.5) {
+		// Service times up to the jitter bound mix completions that run
+		// inside the window with ones staged past its horizon.
+		n.busy = max(n.busy, now) + sim.Duration(n.r.Int63n(int64(n.cfg.jitterMax)))
+		n.sched.FIFOAt(n.srv, n.busy, n)
+	}
+}
+
+// served folds a completed job; the callback of every node's FIFO.
+func served(a any) {
+	n := a.(*node)
+	n.fold(6, uint64(n.sched.Now()))
 }
 
 // recv folds an arriving ring message; runs on this node's lane.
@@ -139,7 +157,7 @@ func runNet(t *testing.T, cfg netConfig, workers int) netResult {
 
 	nodes := make([]*node, cfg.nodes)
 	for i := range nodes {
-		n := &node{id: i, r: rng.New(cfg.seed + uint64(i)*7919), cfg: &cfg}
+		n := &node{id: i, r: rng.New(cfg.seed + uint64(i)*7919), cfg: &cfg, srv: sim.NewFIFO(served)}
 		if w != nil {
 			n.sched = w.Lane(i%cfg.lanesN + 1)
 		} else {
@@ -216,6 +234,23 @@ func runNet(t *testing.T, cfg netConfig, workers int) netResult {
 		}
 	}
 	k.At(obsPeriod, observe)
+
+	// Second observer: a kernel FIFO stream scheduled up front, half a
+	// period out of phase, so windows form while the stream has events
+	// waiting. Each of its events also schedules a plain global event,
+	// whose parent in the provenance trace is the FIFO event.
+	audit := sim.NewFIFO(func(any) {
+		globalDig = fold(globalDig, 7, uint64(k.Now()))
+		for _, n := range nodes {
+			globalDig = fold(globalDig, n.dig)
+		}
+		k.After(obsPeriod/4, func() {
+			globalDig = fold(globalDig, 8, uint64(k.Now()))
+		})
+	})
+	for t := obsPeriod / 2; t < cfg.horizon; t += obsPeriod {
+		k.FIFOAt(audit, t, nil)
+	}
 
 	if w != nil {
 		w.Run()
@@ -394,5 +429,57 @@ func TestLaneHandleInert(t *testing.T) {
 	w.Run()
 	if !ran {
 		t.Error("staged lane event never ran despite inert Cancel")
+	}
+}
+
+// TestWindowReapAccounting pins the two ways window formation can meet
+// a cancelled global entry, each giving a queue high-watermark that
+// matches the serial kernel only if the reap is accounted for: an entry
+// right after a window cut short by MaxWindow must be recorded when
+// reaped, and one lying beyond the lookahead horizon must stay queued,
+// because events the window stages can run before it.
+func TestWindowReapAccounting(t *testing.T) {
+	cases := []struct {
+		name      string
+		maxWindow int
+		decoyAt   sim.Time
+		laneAt    []sim.Time // lane events besides the first one, at t=0
+		selfAt    []sim.Time // lane events the first one schedules
+	}{
+		{"after-max-window", 1, 1, []sim.Time{5}, []sim.Time{3, 4}},
+		{"beyond-horizon", 0, 15, nil, []sim.Time{12, 13, 14}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(laned bool) int {
+				k := sim.NewKernel()
+				var s sim.Scheduler = k
+				var w *World
+				if laned {
+					w = NewWorld(k, Config{Lanes: 1, Workers: 1, Lookahead: 10, MaxWindow: tc.maxWindow})
+					defer w.Close()
+					s = w.Lane(1)
+				}
+				s.At(0, func() {
+					for _, at := range tc.selfAt {
+						s.At(at, func() {})
+					}
+				})
+				for _, at := range tc.laneAt {
+					s.At(at, func() {})
+				}
+				k.At(tc.decoyAt, func() {}).Cancel()
+				k.At(30, func() {})
+				if w != nil {
+					w.Run()
+				} else {
+					k.Run()
+				}
+				return k.QueueHighWatermark()
+			}
+			if serial, laned := run(false), run(true); laned != serial {
+				t.Errorf("laned queue high-watermark = %d, serial %d", laned, serial)
+			}
+		})
 	}
 }

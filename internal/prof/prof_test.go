@@ -247,12 +247,13 @@ func TestTagScheduler(t *testing.T) {
 	s.At(2, func() {})
 	s.AtArg(3, func(any) {}, nil)
 	s.AfterArg(4, func(any) {}, nil)
+	s.FIFOAt(sim.NewFIFO(func(any) {}), 4, nil)
 	k.After(5, func() {}) // direct: untagged
 	tick := s.Every(10, func(sim.Time) {})
 	k.RunUntil(25)
 	tick.Stop()
 
-	want := []int32{3, 3, 3, 3, 0, 3 /* ticker arm */, 3, 3 /* reschedules */}
+	want := []int32{3, 3, 3, 3, 3, 0, 3 /* ticker arm */, 3, 3 /* reschedules */}
 	if len(tags) != len(want) {
 		t.Fatalf("tags = %v, want %v", tags, want)
 	}

@@ -58,6 +58,12 @@ func (t *taggedScheduler) AfterArg(d sim.Duration, fn func(any), arg any) sim.Ha
 	return h
 }
 
+func (t *taggedScheduler) FIFOAt(f *sim.FIFO, at sim.Time, arg any) {
+	t.ts.SetProvTag(t.tag)
+	t.s.FIFOAt(f, at, arg)
+	t.ts.SetProvTag(0)
+}
+
 // Every builds the ticker on the wrapper itself, so every firing's
 // reschedule carries the tag too.
 func (t *taggedScheduler) Every(d sim.Duration, fn func(sim.Time)) *sim.Ticker {

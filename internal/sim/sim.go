@@ -13,6 +13,15 @@
 // dense simulation runs with zero allocations per event once the arena
 // and heap have grown to the schedule's high-water mark.
 //
+// FIFO streams (FIFO, Scheduler.FIFOAt) carry the per-frame event
+// sources whose times never decrease, such as a capture core's
+// completions or an egress port's deliveries. Each event gets its (time,
+// sequence) key and provenance record at the call, exactly as AtArg
+// would give them, but only a stream's earliest event sits in the heap,
+// so the heap holds one entry per stream rather than one per queued
+// frame. FIFO events cannot be cancelled, and a lane executor stages
+// them as plain events.
+//
 // Determinism contract: events fire in (time, sequence) order, where the
 // sequence number increments on every schedule call. Two events at the
 // same virtual time therefore run in the order they were scheduled
@@ -63,6 +72,10 @@ type Scheduler interface {
 	After(d Duration, fn func()) Handle
 	AfterArg(d Duration, fn func(any), arg any) Handle
 	Every(d Duration, fn func(Time)) *Ticker
+	// FIFOAt schedules f.Func()(arg) at t on stream f (see FIFO). t must
+	// not precede the stream's previous event; the event cannot be
+	// cancelled.
+	FIFOAt(f *FIFO, t Time, arg any)
 }
 
 // GlobalLane is the lane tag of ordinary (non-laned) events. Global
@@ -75,11 +88,14 @@ const (
 	slotFree uint8 = iota
 	slotPending
 	slotCancelled // cancelled but still referenced by a heap entry
+	slotFIFO      // a FIFO stream's head; arg holds the *FIFO
 )
 
 // eventSlot is one arena cell. The ordering key (at, seq) lives in the
 // heap entry, not here; the slot only carries the callback and its
-// lifecycle state. Exactly one of fn and argFn is set.
+// lifecycle state. A pending slot has exactly one of fn and argFn set.
+// A slotFIFO slot has neither: it stands for its stream's head event and
+// is reused for each successive head until the stream empties.
 type eventSlot struct {
 	fn    func()
 	argFn func(any)
@@ -117,6 +133,10 @@ type Kernel struct {
 	free  []int32 // free-list of arena slot indices
 	heap  []heapEntry
 
+	// fifoWaiting counts FIFO events waiting behind their stream's head
+	// (the head itself is in the heap).
+	fifoWaiting int
+
 	// Introspection counters (metrics sources for the obs layer).
 	queueHighWater int
 	lastTick       Time
@@ -141,8 +161,8 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) EventsProcessed() uint64 { return k.nEvent }
 
 // Pending reports how many events remain scheduled (including cancelled
-// events not yet reaped).
-func (k *Kernel) Pending() int { return len(k.heap) }
+// events not yet reaped, and every FIFO event that has not run).
+func (k *Kernel) Pending() int { return len(k.heap) + k.fifoWaiting }
 
 // QueueHighWatermark reports the maximum pending-event count observed,
 // sampled at the first event of each distinct timestamp — a proxy for
@@ -354,23 +374,34 @@ func (t *Ticker) Stop() {
 // timestamp. It reports false when the queue is empty.
 func (k *Kernel) Step() bool {
 	for len(k.heap) > 0 {
-		e := k.heapPop()
+		e := k.heap[0]
 		s := &k.slots[e.idx]
-		if s.state == slotCancelled {
+		var fn func()
+		var argFn func(any)
+		var arg any
+		switch s.state {
+		case slotPending:
+			k.heapPop()
+			fn, argFn, arg = s.fn, s.argFn, s.arg
+			// Release before running: the callback may schedule new
+			// events and immediately reuse this slot, and an in-flight
+			// event must no longer be cancellable (gen bump invalidates
+			// its Handle).
+			k.release(e.idx)
+		case slotFIFO:
+			f := s.arg.(*FIFO)
+			argFn, arg = f.fn, k.popFIFO(f, e.idx)
+		default: // slotCancelled
+			k.heapPop()
 			k.release(e.idx) // reap
 			continue
 		}
 		k.now = e.at
-		fn, argFn, arg := s.fn, s.argFn, s.arg
-		// Release before running: the callback may schedule new events
-		// and immediately reuse this slot, and an in-flight event must
-		// no longer be cancellable (gen bump invalidates its Handle).
-		k.release(e.idx)
 		k.nEvent++
 		if e.at != k.lastTick {
 			// Tick boundary: sample the pending-event count (the popped
 			// event still counts — it has not finished running).
-			if p := len(k.heap) + 1; p > k.queueHighWater {
+			if p := k.Pending() + 1; p > k.queueHighWater {
 				k.queueHighWater = p
 			}
 			k.lastTick = e.at
@@ -513,7 +544,8 @@ type Window struct {
 	// is staged and flushed to the kernel heap at the barrier. It is
 	// min(Horizon, timestamp of the next event left in the heap).
 	ExecHorizon Time
-	// L0 is the heap length at window formation, before any pops.
+	// L0 is the pending-event count (Pending) at window formation,
+	// before any pops.
 	L0 int
 	// SeqBase is the kernel's sequence counter at window formation.
 	SeqBase uint64
@@ -527,18 +559,31 @@ type Window struct {
 // events are appended to evOut and reaped cancellations to reapOut
 // (both may be reused buffers); the returned slices share their
 // backing arrays. The caller must only invoke this when NextLane
-// reports a non-global head.
+// reports a non-global head. A FIFO stream's head is a global event, so
+// a window never pops one.
 func (k *Kernel) PopLaneWindow(lookahead Duration, maxN int, evOut []LaneEvent, reapOut []ReapMark) (Window, []LaneEvent, []ReapMark) {
-	w := Window{L0: len(k.heap), SeqBase: k.seq}
+	w := Window{L0: k.Pending(), SeqBase: k.seq}
 	started := false
-	for len(k.heap) > 0 && w.N < maxN {
+	for len(k.heap) > 0 {
 		e := k.heap[0]
 		s := &k.slots[e.idx]
 		if s.state == slotCancelled {
+			// Reap only entries a serial kernel would also reap before
+			// anything the window stages: staged events land at or after
+			// ExecHorizon (<= Horizon) with fresh sequence numbers, so
+			// they follow every cancelled entry up to the horizon, but
+			// may precede one beyond it. Every reap is recorded so
+			// ApplyWindow's queue samples can account for it.
+			if started && e.at > w.Horizon {
+				break
+			}
 			k.heapPop()
 			k.release(e.idx)
 			reapOut = append(reapOut, ReapMark{At: e.at, Seq: e.seq})
 			continue
+		}
+		if w.N >= maxN {
+			break
 		}
 		if !started {
 			if s.lane == GlobalLane {
@@ -558,9 +603,10 @@ func (k *Kernel) PopLaneWindow(lookahead Duration, maxN int, evOut []LaneEvent, 
 		k.release(e.idx)
 		w.N++
 	}
+	// The head is now live, or cancelled beyond the horizon.
 	w.ExecHorizon = w.Horizon
-	if at, ok := k.peek(); ok && at < w.ExecHorizon {
-		w.ExecHorizon = at
+	if len(k.heap) > 0 && k.heap[0].at < w.ExecHorizon {
+		w.ExecHorizon = k.heap[0].at
 	}
 	return w, evOut, reapOut
 }

@@ -117,8 +117,12 @@ type Port struct {
 	// Egress (Tx channel) modeling: a finite queue drained at LineRate.
 	queueCap  int64    // bytes the egress queue can hold
 	queueFree sim.Time // virtual time at which the queue drains empty
-	receiver  Receiver
-	sw        *Switch
+	// clones is the port's mirror-delivery stream. A clone is delivered
+	// at the new queueFree, which only grows, so deliveries are
+	// scheduled in time order.
+	clones   *sim.FIFO
+	receiver Receiver
+	sw       *Switch
 
 	// down marks a flapped link: frames transiting (either direction) are
 	// dropped, as are mirror clones destined for it.
@@ -163,8 +167,8 @@ type Switch struct {
 	obsReg  *obs.Registry
 
 	// Clone-delivery pool: free list of delivery records plus the method
-	// value dispatched through sim.Kernel.AtArg, bound once in New so the
-	// per-clone path allocates no closure.
+	// value every egress port's delivery stream runs, bound once in New so
+	// the per-clone path allocates no closure.
 	cloneFree *cloneDelivery
 	cloneFn   func(any)
 
@@ -254,7 +258,8 @@ func (s *Switch) AddPort(name string, role PortRole, rate units.BitRate) *Port {
 	if _, dup := s.ports[name]; dup {
 		panic(fmt.Sprintf("switchsim: duplicate port %q on %q", name, s.Name))
 	}
-	p := &Port{Name: name, Role: role, LineRate: rate, queueCap: DefaultEgressQueueBytes, sw: s}
+	p := &Port{Name: name, Role: role, LineRate: rate, queueCap: DefaultEgressQueueBytes,
+		clones: sim.NewFIFO(s.cloneFn), sw: s}
 	s.ports[name] = p
 	s.order = append(s.order, name)
 	return p
@@ -451,13 +456,14 @@ func (s *Switch) cloneLocked(now sim.Time, m *MirrorSession, f Frame) {
 			cd.buf = append(cd.buf[:0], f.Data...)
 			cd.f.Data = cd.buf
 		}
-		s.sched.AtArg(eg.queueFree, s.cloneFn, cd)
+		s.sched.FIFOAt(eg.clones, eg.queueFree, cd)
 	}
 }
 
-// deliverClone hands a mirrored frame to its receiver (the AtArg
-// callback), then returns the record to the pool: the receiver borrows
-// the record's buffer for the call, so recycling must wait for it.
+// deliverClone hands a mirrored frame to its receiver (the delivery
+// streams' callback), then returns the record to the pool: the receiver
+// borrows the record's buffer for the call, so recycling must wait for
+// it.
 func (s *Switch) deliverClone(a any) {
 	cd := a.(*cloneDelivery)
 	cd.r.DeliverFrame(cd.at, cd.f)

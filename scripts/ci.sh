@@ -7,7 +7,8 @@
 # fails if benchmark code no longer compiles, a short fuzz smoke over
 # the wire-format parsers (seed corpus plus a few seconds of mutation —
 # enough to catch regressions in the option/length walkers — plus the
-# flow-store segment codec and the sketch merge operators), a
+# flow-store segment codec, the sketch merge operators and the sim
+# kernel's FIFO-stream-vs-AtArg differential), a
 # streaming-analytics equivalence gate (the single-pass digester and
 # the materialized in-memory pipeline must agree byte-for-byte on every
 # CSV and figure artifact, spilling included), and a
@@ -50,6 +51,7 @@ go test -run='^$' -fuzz='^FuzzLanePartition$' -fuzztime=5s ./internal/lanes
 go test -run='^$' -fuzz='^FuzzSegmentCodec$' -fuzztime=5s ./internal/flowstore
 go test -run='^$' -fuzz='^FuzzSketchMerge$' -fuzztime=5s ./internal/sketch
 go test -run='^$' -fuzz='^FuzzRingSegment$' -fuzztime=5s ./internal/livemon
+go test -run='^$' -fuzz='^FuzzFIFOMatchesAtArg$' -fuzztime=5s ./internal/sim
 
 # Streaming-analytics equivalence gate: streamed digest vs materialized
 # baseline on clean and hostile corpora, and the streamed acap encoder
