@@ -4,7 +4,8 @@
 // ns/frame or %loss@11G). With -count > 1 runs of the same benchmark,
 // the run with the lowest ns/op wins — the conventional "best of N"
 // that filters scheduler noise. The report is stamped with the host's
-// core count and the GOMAXPROCS the benchmarks ran with.
+// core count, the GOMAXPROCS the benchmarks ran with, and the commit
+// benchjson was built from.
 //
 // Usage:
 //
@@ -23,6 +24,7 @@ import (
 	"os"
 	"regexp"
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"strings"
 )
@@ -42,6 +44,7 @@ type report struct {
 	Pkg         string           `json:"pkg,omitempty"`
 	Cores       int              `json:"cores"`
 	GOMAXPROCS  int              `json:"gomaxprocs"` // of the benchmark run, else of this process
+	Commit      string           `json:"commit"`
 	Benchmarks  map[string]entry `json:"benchmarks"`
 }
 
@@ -64,6 +67,7 @@ func main() {
 		GeneratedBy: "scripts/bench.sh (cmd/benchjson)",
 		Cores:       runtime.NumCPU(),
 		GOMAXPROCS:  runtime.GOMAXPROCS(0),
+		Commit:      buildCommit(),
 		Benchmarks:  map[string]entry{},
 	}
 
@@ -132,6 +136,38 @@ func main() {
 		fatal(err)
 	}
 	fmt.Println(string(out))
+}
+
+// buildCommit names the revision this binary was built from (bench.sh
+// builds it from the tree it measures).
+func buildCommit() string {
+	bi, ok := debug.ReadBuildInfo()
+	if !ok {
+		return "unknown"
+	}
+	return commitOf(bi.Settings)
+}
+
+// commitOf renders the build's vcs.revision, suffixed "-dirty" when
+// vcs.modified reports uncommitted changes, or "unknown" when the build
+// carries no VCS information (go run, -buildvcs=false, no repository).
+func commitOf(settings []debug.BuildSetting) string {
+	rev, dirty := "", false
+	for _, s := range settings {
+		switch s.Key {
+		case "vcs.revision":
+			rev = s.Value
+		case "vcs.modified":
+			dirty = s.Value == "true"
+		}
+	}
+	switch {
+	case rev == "":
+		return "unknown"
+	case dirty:
+		return rev + "-dirty"
+	}
+	return rev
 }
 
 // parseMetrics splits "118.9 ns/op\t0 B/op\t0 allocs/op" into a map.

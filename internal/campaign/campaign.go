@@ -597,6 +597,9 @@ func run(spec Spec, w *journal.Writer, dir string, kill bool, live LiveSink, exe
 	if err != nil {
 		return nil, err
 	}
+	// A run that stops short of completion (crash point, error) leaves
+	// harvested pcaps no bundle has waited for; join them on every path.
+	defer coord.Wait()
 
 	var sup *remedy.Supervisor
 	if spec.Remedy != nil {

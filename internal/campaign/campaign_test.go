@@ -1,9 +1,12 @@
 package campaign
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/faults"
 	"repro/internal/journal"
 	"repro/internal/remedy"
 )
@@ -120,5 +123,44 @@ func TestResumeOfFinishedCampaignReplaysClean(t *testing.T) {
 	}
 	if again.Profile == nil || again.Profile.SuccessRate() != first.Profile.SuccessRate() {
 		t.Error("replayed campaign diverged from the original")
+	}
+}
+
+// TestRunLeavesNoGoroutines: harvest compresses pcaps on worker
+// goroutines, and none outlives RunExec. Both sites harvest (at 5 s and
+// 6 s) and deliver their bundles 10 s later; the killed run stops at a
+// crash point just after the second harvest, so only the run's own join
+// covers streams that are still being compressed.
+func TestRunLeavesNoGoroutines(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		crashAt float64
+	}{{"completed", 0}, {"killed", 6.0001}} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := smallSpec()
+			spec.SampleSec, spec.IntervalSec = 5, 10
+			if tc.crashAt > 0 {
+				spec.Faults = &faults.Plan{CrashPoints: []faults.CrashPoint{{AtSec: tc.crashAt}}}
+			}
+			start := runtime.NumGoroutine()
+			res, err := RunExec(spec, t.TempDir(), true, Exec{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Crashed != (tc.crashAt > 0) {
+				t.Fatalf("crashed = %v", res.Crashed)
+			}
+			buf := make([]byte, 1<<20)
+			if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "core.compressPcap") {
+				t.Errorf("a pcap is still being compressed after RunExec returned:\n%s", stacks)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > start {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), start)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

@@ -141,6 +141,7 @@ func runToCompletion(k *sim.Kernel, coord *patchwork.Coordinator, drivers []*pat
 	var prof *patchwork.Profile
 	var perr error
 	finished := false
+	defer coord.Wait()
 	coord.Start(func(p *patchwork.Profile, err error) { prof, perr = p, err; finished = true })
 	for !finished {
 		if !k.Step() {

@@ -9,6 +9,9 @@
 # enough to catch regressions in the option/length walkers — plus the
 # flow-store segment codec, the sketch merge operators and the sim
 # kernel's FIFO-stream-vs-AtArg differential), a
+# harvest scheduling gate (bundles compressed on worker goroutines must
+# be byte-identical at GOMAXPROCS 1 and 4, repeated under the race
+# detector), a
 # streaming-analytics equivalence gate (the single-pass digester and
 # the materialized in-memory pipeline must agree byte-for-byte on every
 # CSV and figure artifact, spilling included), and a
@@ -52,6 +55,11 @@ go test -run='^$' -fuzz='^FuzzSegmentCodec$' -fuzztime=5s ./internal/flowstore
 go test -run='^$' -fuzz='^FuzzSketchMerge$' -fuzztime=5s ./internal/sketch
 go test -run='^$' -fuzz='^FuzzRingSegment$' -fuzztime=5s ./internal/livemon
 go test -run='^$' -fuzz='^FuzzFIFOMatchesAtArg$' -fuzztime=5s ./internal/sim
+
+# Harvest scheduling gate: pcaps are compressed off the simulation
+# goroutine, so every bundle must be the same however the workers are
+# scheduled, including a cycle whose engines a restart rebuilt.
+go test -race -count=10 -run '^TestHarvestSchedulingIndependent$' ./internal/core
 
 # Streaming-analytics equivalence gate: streamed digest vs materialized
 # baseline on clean and hostile corpora, and the streamed acap encoder
