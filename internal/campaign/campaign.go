@@ -569,6 +569,13 @@ func run(spec Spec, w *journal.Writer, dir string, kill bool, live LiveSink, exe
 		drivers = append(drivers, d)
 		d.Start()
 	}
+	// Each driver builds its next window on a goroutine; join the last
+	// builds on every return path, like the harvest below.
+	defer func() {
+		for _, d := range drivers {
+			d.Wait()
+		}
+	}()
 	poller.Start()
 
 	cfg := patchwork.Config{

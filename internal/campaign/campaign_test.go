@@ -151,8 +151,12 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 				t.Fatalf("crashed = %v", res.Crashed)
 			}
 			buf := make([]byte, 1<<20)
-			if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "core.compressPcap") {
+			stacks := string(buf[:runtime.Stack(buf, true)])
+			if strings.Contains(stacks, "core.compressPcap") {
 				t.Errorf("a pcap is still being compressed after RunExec returned:\n%s", stacks)
+			}
+			if strings.Contains(stacks, "core.(*TrafficDriver).build") {
+				t.Errorf("a traffic window is still being built after RunExec returned:\n%s", stacks)
 			}
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > start {

@@ -12,14 +12,28 @@ import (
 // stands in for the other researchers' experiments running on the
 // testbed: Patchwork itself never generates the traffic it profiles.
 //
-// The steady-state path allocates nothing per frame. Each window's
-// frames are generated into one FrameArena and described by records in
-// one reused slice; both are recycled at the next window event. That is
-// safe because every frame due at or before the window's end was
-// scheduled before the next window event, so it fires first even at an
-// equal timestamp. The few frames due after the window's end (a late
-// ACK, SYN-ACK or response) get a pooled record owning a copy of their
-// bytes instead.
+// Each window is generated one window ahead, on a goroutine beside the
+// simulation: while window k's frames fire, window k+1 is built into the
+// other of two window buffers. The window event takes the built buffer,
+// waiting only if the build has not finished, schedules its frames and
+// starts the next build. Only a build draws from the generator and
+// builds run one at a time in window order, so the traffic does not
+// depend on goroutine timing. The first window after Start is built
+// inline. A build reads ActivePorts, WindowFrames and Window when it
+// starts, one window ahead, so set them before Start.
+//
+// A buffer's arena stores each frame without its all-zero tail (zero
+// payload and padding, most of a data frame's bytes); fire expands the
+// frame into a scratch buffer that is all zero between calls. That is
+// safe because a frame's bytes are only borrowed for the Transit call.
+//
+// The steady-state path allocates nothing per frame. Frames are described
+// by records in one reused slice, recycled at the next window event
+// together with the buffer the build then refills. That is safe because
+// every frame due at or before the window's end was scheduled before the
+// next window event, so it fires first even at an equal timestamp. The
+// few frames due after the window's end (a late ACK, SYN-ACK or
+// response) get a pooled record owning a copy of their bytes instead.
 //
 // Each active port's in-window frames go onto that port's FIFO stream:
 // a sample is sorted by time and every frame of a window is due by the
@@ -42,21 +56,38 @@ type TrafficDriver struct {
 	stopped bool
 	armed   bool // a window event is pending
 
-	arena    *trafficgen.FrameArena
-	sample   []trafficgen.TimedFrame // SampleInto scratch
-	recs     []driverFrame           // the current window's frames
-	spare    *driverFrame            // free list of straggler records
-	streams  []*sim.FIFO             // in-window frames, one stream per ActivePorts index
+	bufs     [2]windowBuf
+	next     *windowBuf    // the next window, built or being built; nil before the first
+	building bool          // a goroutine is building next
+	built    chan struct{} // a build goroutine's completion (one slot)
+	buildFn  func()
+
+	recs     []driverFrame // the current window's frames
+	spare    *driverFrame  // free list of straggler records
+	streams  []*sim.FIFO   // in-window frames, one stream per ActivePorts index
+	scratch  []byte        // fire's frame buffer, all zero between calls
 	fireFn   func(any)
 	windowFn func()
 }
 
+// windowBuf is one window's traffic: the configuration it was built
+// with, one sample per port and the arena holding the frames' prefixes.
+type windowBuf struct {
+	ports     []string
+	window    sim.Duration
+	maxFrames int
+	arena     trafficgen.FrameArena
+	samples   [][]trafficgen.TimedFrame // by ports index; empty if sampling failed
+}
+
 // driverFrame is one scheduled frame: the event argument of
-// TrafficDriver.fire. Records of in-window frames live in
+// TrafficDriver.fire. data is the frame up to its all-zero tail and size
+// its wire length. Records of in-window frames live in
 // TrafficDriver.recs and borrow arena bytes; straggler records own a
 // copy and recycle through TrafficDriver.spare.
 type driverFrame struct {
 	data       []byte
+	size       int
 	port, peer string
 	dir        trafficgen.Dir
 	straggler  bool
@@ -81,10 +112,11 @@ func NewTrafficDriver(k sim.Scheduler, site *testbed.Site, gen *trafficgen.Gener
 		ActivePorts:  activePorts,
 		WindowFrames: 400,
 		Window:       sim.Second,
-		arena:        trafficgen.NewFrameArena(),
+		built:        make(chan struct{}, 1),
 	}
 	d.fireFn = d.fire
 	d.windowFn = d.window
+	d.buildFn = d.buildNext
 	return d
 }
 
@@ -92,7 +124,9 @@ func NewTrafficDriver(k sim.Scheduler, site *testbed.Site, gen *trafficgen.Gener
 // active port receives an independent flow sample; a frame's forward
 // direction counts as Rx on the source port and Tx on a peer port,
 // matching how a frame between two VMs crosses the switch. Starting a
-// driver whose next window is still pending only cancels a prior Stop.
+// driver whose next window is still pending only cancels a prior Stop;
+// restarting one whose windows ended resumes with the window built
+// before they did.
 func (d *TrafficDriver) Start() {
 	d.stopped = false
 	if !d.armed {
@@ -103,62 +137,120 @@ func (d *TrafficDriver) Start() {
 // Stop halts traffic generation after the current window.
 func (d *TrafficDriver) Stop() { d.stopped = true }
 
+// Wait blocks until no window build is in flight. Call it before
+// abandoning the driver, so that no build outlives the run.
+func (d *TrafficDriver) Wait() {
+	if d.building {
+		<-d.built
+		d.building = false
+	}
+}
+
 func (d *TrafficDriver) window() {
 	d.armed = false
 	if d.stopped || len(d.ActivePorts) == 0 {
 		return
 	}
+	d.Wait()
+	b := d.next
+	if b == nil {
+		b = d.configure(&d.bufs[0])
+		d.build(b)
+	}
 	base := d.sched.Now()
-	d.arena.Reset()
 	d.recs = d.recs[:0]
-	for pi, port := range d.ActivePorts {
-		frames, err := d.gen.SampleInto(trafficgen.SampleConfig{
-			Duration:  d.Window,
-			MaxFrames: d.WindowFrames,
-			FlowCount: 2 + pi%5,
-		}, d.sample[:0], d.arena.Alloc)
-		if err != nil {
-			continue
-		}
-		d.sample = frames
-		peer := d.ActivePorts[(pi+1)%len(d.ActivePorts)]
+	for pi, port := range b.ports {
+		peer := b.ports[(pi+1)%len(b.ports)]
 		for len(d.streams) <= pi {
 			d.streams = append(d.streams, sim.NewFIFO(d.fireFn))
 		}
-		for _, tf := range frames {
-			if tf.At > d.Window {
-				r := d.straggler(tf.Data)
+		sample := b.samples[pi]
+		for i := range sample {
+			tf := &sample[i]
+			if tf.At > b.window {
+				r := d.straggler(tf)
 				r.port, r.peer, r.dir = port, peer, tf.Dir
 				d.sched.AtArg(base+tf.At, d.fireFn, r)
 				continue
 			}
-			d.recs = append(d.recs, driverFrame{data: tf.Data, port: port, peer: peer, dir: tf.Dir})
+			d.recs = append(d.recs, driverFrame{data: tf.Data, size: int(tf.Size), port: port, peer: peer, dir: tf.Dir})
 			d.sched.FIFOAt(d.streams[pi], base+tf.At, &d.recs[len(d.recs)-1])
 		}
 	}
-	d.sched.At(base+d.Window, d.windowFn)
+	// The other buffer's window is over: its in-window frames all fired
+	// before this event. Refill it with the next window meanwhile.
+	next := &d.bufs[0]
+	if b == next {
+		next = &d.bufs[1]
+	}
+	d.next = d.configure(next)
+	d.building = true
+	go d.buildFn()
+	d.sched.At(base+b.window, d.windowFn)
 	d.armed = true
 }
 
-// straggler returns a pooled record holding its own copy of data, for a
-// frame that fires after the next window event has recycled the arena.
-func (d *TrafficDriver) straggler(data []byte) *driverFrame {
+// configure fixes the window b will hold to the driver's current
+// settings and returns b.
+func (d *TrafficDriver) configure(b *windowBuf) *windowBuf {
+	b.ports, b.window, b.maxFrames = d.ActivePorts, d.Window, d.WindowFrames
+	return b
+}
+
+// build generates b's window: one sample per port, each frame stored
+// without its all-zero tail.
+func (d *TrafficDriver) build(b *windowBuf) {
+	b.arena.Reset()
+	for len(b.samples) < len(b.ports) {
+		b.samples = append(b.samples, nil)
+	}
+	for pi := range b.ports {
+		frames, err := d.gen.SamplePrefixesInto(trafficgen.SampleConfig{
+			Duration:  b.window,
+			MaxFrames: b.maxFrames,
+			FlowCount: 2 + pi%5,
+		}, b.samples[pi][:0], b.arena.Alloc)
+		if err != nil {
+			frames = b.samples[pi][:0]
+		}
+		b.samples[pi] = frames
+	}
+}
+
+// buildNext is the build goroutine: it builds d.next and signals.
+func (d *TrafficDriver) buildNext() {
+	d.build(d.next)
+	d.built <- struct{}{}
+}
+
+// straggler returns a pooled record holding its own copy of tf's bytes,
+// for a frame that fires after the next window event has recycled the
+// arena.
+func (d *TrafficDriver) straggler(tf *trafficgen.TimedFrame) *driverFrame {
 	r := d.spare
 	if r == nil {
 		r = &driverFrame{straggler: true}
 	} else {
 		d.spare = r.next
 	}
-	r.data = append(r.data[:0], data...)
+	r.data = append(r.data[:0], tf.Data...)
+	r.size = int(tf.Size)
 	return r
 }
 
-// fire crosses one frame over the switch (the event callback). Transit
-// borrows the bytes only for the call, so a straggler record is free
-// for reuse as soon as it returns.
+// fire crosses one frame over the switch (the event callback). It
+// expands the frame into the scratch buffer and zeroes the prefix again
+// afterwards. Transit borrows the bytes only for the call, so the
+// scratch and a straggler record are free for reuse as soon as it
+// returns.
 func (d *TrafficDriver) fire(a any) {
 	r := a.(*driverFrame)
-	f := switchsim.NewFrame(r.data)
+	if len(d.scratch) < r.size {
+		d.scratch = make([]byte, r.size)
+	}
+	data := d.scratch[:r.size:r.size]
+	copy(data, r.data)
+	f := switchsim.NewFrame(data)
 	if r.dir == trafficgen.DirForward {
 		_ = d.site.Switch.Transit(r.port, switchsim.DirRx, f)
 		_ = d.site.Switch.Transit(r.peer, switchsim.DirTx, f)
@@ -166,6 +258,7 @@ func (d *TrafficDriver) fire(a any) {
 		_ = d.site.Switch.Transit(r.peer, switchsim.DirRx, f)
 		_ = d.site.Switch.Transit(r.port, switchsim.DirTx, f)
 	}
+	clear(data[:len(r.data)])
 	if r.straggler {
 		r.next = d.spare
 		d.spare = r

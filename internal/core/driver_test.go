@@ -2,6 +2,7 @@ package patchwork
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/sim"
@@ -109,56 +110,141 @@ func observeTransits(t *testing.T, dir switchsim.Direction, window sim.Duration,
 	return seen, counters
 }
 
-// TestDriverMatchesReference checks that the arena-backed driver crosses
-// the switch with exactly the (port, direction, time, bytes) sequence of
-// the per-frame-closure reference, including at a 5 ms window where
-// many frames (late ACKs, SYN-ACKs, responses) are due after the arena
-// has been recycled.
-func TestDriverMatchesReference(t *testing.T) {
-	profile := trafficgen.MakeSiteProfiles(3, 4)[1]
-	for _, tc := range []struct {
-		window sim.Duration
-		frames int
-		n      int
-	}{
-		{sim.Second, 150, 4},
-		{50 * sim.Millisecond, 80, 12},
-		{5 * sim.Millisecond, 40, 40},
-	} {
-		for _, dir := range []switchsim.Direction{switchsim.DirRx, switchsim.DirTx} {
-			name := fmt.Sprintf("window=%v/%v", tc.window, dir)
-			want, wantC := observeTransits(t, dir, tc.window, tc.n, func(k *sim.Kernel, s *testbed.Site, ports []string) func() {
-				d := &refDriver{k: k, site: s, gen: trafficgen.NewGenerator(profile, 17),
-					ports: ports, windowFrames: tc.frames, window: tc.window}
-				d.tick()
-				return func() { d.stopped = true }
-			})
-			got, gotC := observeTransits(t, dir, tc.window, tc.n, func(k *sim.Kernel, s *testbed.Site, ports []string) func() {
-				d := NewTrafficDriver(k, s, trafficgen.NewGenerator(profile, 17), ports)
-				d.WindowFrames, d.Window = tc.frames, tc.window
-				d.Start()
-				return d.Stop
-			})
-			if len(want) == 0 {
-				t.Fatalf("%s: reference transited nothing", name)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("%s: %d transits, reference %d", name, len(got), len(want))
-			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s: transit %d = {%s %v %v %d bytes}, reference {%s %v %v %d bytes} (bytes equal: %v)",
-						name, i, got[i].port, got[i].dir, got[i].at, len(got[i].data),
-						want[i].port, want[i].dir, want[i].at, len(want[i].data), got[i].data == want[i].data)
-				}
-			}
-			for i := range wantC {
-				if gotC[i] != wantC[i] {
-					t.Errorf("%s: port %d counters %+v, reference %+v", name, i, gotC[i], wantC[i])
-				}
+// newCheckedDriver is NewTrafficDriver with every fire followed by a
+// check that the scratch frame is all zero again: a receiver that wrote
+// into the borrowed bytes would otherwise corrupt later frames. The
+// driver's last build is joined when the test ends.
+func newCheckedDriver(t *testing.T, k sim.Scheduler, s *testbed.Site, gen *trafficgen.Generator, ports []string) *TrafficDriver {
+	t.Helper()
+	d := NewTrafficDriver(k, s, gen, ports)
+	d.fireFn = func(a any) {
+		d.fire(a)
+		for i, c := range d.scratch {
+			if c != 0 {
+				t.Fatalf("scratch byte %d is %#x after a fire", i, c)
 			}
 		}
 	}
+	t.Cleanup(d.Wait)
+	return d
+}
+
+// forProcs runs f as one subtest per GOMAXPROCS setting: the traffic
+// must not depend on when the build goroutines run.
+func forProcs(t *testing.T, f func(t *testing.T)) {
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			f(t)
+		})
+	}
+}
+
+// sameTransits fails t unless the driver's transits and port counters
+// equal the reference's.
+func sameTransits(t *testing.T, name string, got, want []transit, gotC, wantC []switchsim.Counters) {
+	t.Helper()
+	if len(want) == 0 {
+		t.Fatalf("%s: reference transited nothing", name)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d transits, reference %d", name, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: transit %d = {%s %v %v %d bytes}, reference {%s %v %v %d bytes} (bytes equal: %v)",
+				name, i, got[i].port, got[i].dir, got[i].at, len(got[i].data),
+				want[i].port, want[i].dir, want[i].at, len(want[i].data), got[i].data == want[i].data)
+		}
+	}
+	for i := range wantC {
+		if gotC[i] != wantC[i] {
+			t.Errorf("%s: port %d counters %+v, reference %+v", name, i, gotC[i], wantC[i])
+		}
+	}
+}
+
+// TestDriverMatchesReference checks that the prefetching, arena-backed
+// driver crosses the switch with exactly the (port, direction, time,
+// bytes) sequence of the per-frame-closure reference, including at a
+// 5 ms window where many frames (late ACKs, SYN-ACKs, responses) are due
+// after the arena has been recycled.
+func TestDriverMatchesReference(t *testing.T) {
+	profile := trafficgen.MakeSiteProfiles(3, 4)[1]
+	forProcs(t, func(t *testing.T) {
+		for _, tc := range []struct {
+			window sim.Duration
+			frames int
+			n      int
+		}{
+			{sim.Second, 150, 4},
+			{50 * sim.Millisecond, 80, 12},
+			{5 * sim.Millisecond, 40, 40},
+		} {
+			for _, dir := range []switchsim.Direction{switchsim.DirRx, switchsim.DirTx} {
+				want, wantC := observeTransits(t, dir, tc.window, tc.n, func(k *sim.Kernel, s *testbed.Site, ports []string) func() {
+					d := &refDriver{k: k, site: s, gen: trafficgen.NewGenerator(profile, 17),
+						ports: ports, windowFrames: tc.frames, window: tc.window}
+					d.tick()
+					return func() { d.stopped = true }
+				})
+				got, gotC := observeTransits(t, dir, tc.window, tc.n, func(k *sim.Kernel, s *testbed.Site, ports []string) func() {
+					d := newCheckedDriver(t, k, s, trafficgen.NewGenerator(profile, 17), ports)
+					d.WindowFrames, d.Window = tc.frames, tc.window
+					d.Start()
+					return d.Stop
+				})
+				sameTransits(t, fmt.Sprintf("window=%v/%v", tc.window, dir), got, want, gotC, wantC)
+			}
+		}
+	})
+}
+
+// TestDriverRestartMatchesReference stops a driver and restarts it after
+// its window chain has ended, while the window built ahead before the
+// stop may still be in flight. The restart must resume the reference's
+// traffic exactly: nothing the build drew from the generator is lost.
+func TestDriverRestartMatchesReference(t *testing.T) {
+	profile := trafficgen.MakeSiteProfiles(3, 4)[1]
+	forProcs(t, func(t *testing.T) {
+		for _, tc := range []struct {
+			window sim.Duration
+			frames int
+			n      int
+		}{
+			{sim.Second, 150, 6},
+			{5 * sim.Millisecond, 40, 12},
+		} {
+			for _, wait := range []bool{false, true} {
+				stopAt, restartAt := tc.window*5/2, tc.window*13/4
+				want, wantC := observeTransits(t, switchsim.DirRx, tc.window, tc.n, func(k *sim.Kernel, s *testbed.Site, ports []string) func() {
+					d := &refDriver{k: k, site: s, gen: trafficgen.NewGenerator(profile, 17),
+						ports: ports, windowFrames: tc.frames, window: tc.window}
+					d.tick()
+					k.At(stopAt, func() { d.stopped = true })
+					k.At(restartAt, func() { d.stopped = false; d.tick() })
+					return func() { d.stopped = true }
+				})
+				got, gotC := observeTransits(t, switchsim.DirRx, tc.window, tc.n, func(k *sim.Kernel, s *testbed.Site, ports []string) func() {
+					d := newCheckedDriver(t, k, s, trafficgen.NewGenerator(profile, 17), ports)
+					d.WindowFrames, d.Window = tc.frames, tc.window
+					d.Start()
+					k.At(stopAt, d.Stop)
+					k.At(restartAt, func() {
+						if !d.building {
+							t.Errorf("window=%v: no build pending at the restart", tc.window)
+						}
+						if wait {
+							d.Wait()
+						}
+						d.Start()
+					})
+					return d.Stop
+				})
+				sameTransits(t, fmt.Sprintf("window=%v/wait=%v", tc.window, wait), got, want, gotC, wantC)
+			}
+		}
+	})
 }
 
 // stragglers counts, per window, the frames d schedules past the

@@ -83,6 +83,7 @@ func Fig10(seed uint64) (*Result, error) {
 				if _, err := s.Allocate(0, testbed.SliceRequest{Name: "hog", VMs: []testbed.VMRequest{
 					{DedicatedNICs: s.Spec.DedicatedNICs, Cores: 4, RAM: units.GB, Storage: units.GB},
 				}}); err != nil {
+					joinDrivers(drivers)
 					return nil, err
 				}
 			}
@@ -104,6 +105,7 @@ func Fig10(seed uint64) (*Result, error) {
 		}
 		coord, err := patchwork.NewCoordinator(fed, store, poller, cfg)
 		if err != nil {
+			joinDrivers(drivers)
 			return nil, err
 		}
 		prof, err := runToCompletion(k, coord, drivers, poller)
@@ -136,12 +138,14 @@ func Fig10(seed uint64) (*Result, error) {
 }
 
 // runToCompletion steps the kernel until the coordinator reports done,
-// then stops the drivers and poller.
+// then stops the drivers and poller. It returns only once no harvest or
+// window build is still running.
 func runToCompletion(k *sim.Kernel, coord *patchwork.Coordinator, drivers []*patchwork.TrafficDriver, poller *telemetry.Poller) (*patchwork.Profile, error) {
 	var prof *patchwork.Profile
 	var perr error
 	finished := false
 	defer coord.Wait()
+	defer joinDrivers(drivers)
 	coord.Start(func(p *patchwork.Profile, err error) { prof, perr = p, err; finished = true })
 	for !finished {
 		if !k.Step() {
@@ -153,4 +157,11 @@ func runToCompletion(k *sim.Kernel, coord *patchwork.Coordinator, drivers []*pat
 	}
 	poller.Stop()
 	return prof, perr
+}
+
+// joinDrivers waits for every driver's in-flight window build.
+func joinDrivers(drivers []*patchwork.TrafficDriver) {
+	for _, d := range drivers {
+		d.Wait()
+	}
 }

@@ -34,10 +34,13 @@ func (c RecorderConfig) withDefaults() RecorderConfig {
 	return c
 }
 
-// metricSnap is one retained registry snapshot.
+// metricSnap is one retained registry snapshot. line is its rendered
+// dump line, cached by the first dump that includes it: dumps frozen
+// within a few ticks of each other share most of their snapshots.
 type metricSnap struct {
 	at     sim.Time
 	points []obs.MetricPoint
+	line   string
 }
 
 // logLine is one retained log record.
@@ -50,9 +53,11 @@ type logLine struct {
 // recorder keeps bounded rings of recent context — metric snapshots and
 // log lines — and can freeze them, together with the tail of the span
 // trace, into a JSONL dump when an alert fires. It records continuously
-// and cheaply; the expensive serialization happens only at dump time.
+// and cheaply; the expensive serialization happens only at dump time,
+// at most once per snapshot.
 type recorder struct {
 	cfg RecorderConfig
+	buf bytes.Buffer // dump scratch: the header, then spans and logs
 
 	snaps     []metricSnap
 	snapHead  int
@@ -72,6 +77,8 @@ func newRecorder(cfg RecorderConfig) *recorder {
 	}
 }
 
+// snapshot retains points; overwriting the oldest slot drops its
+// cached line with it.
 func (r *recorder) snapshot(at sim.Time, points []obs.MetricPoint) {
 	s := metricSnap{at: at, points: points}
 	if r.snapCount < len(r.snaps) {
@@ -105,10 +112,22 @@ func jsonString(s string) (string, error) {
 // then the retained metric snapshots (oldest first), the tail of the
 // span trace, and the retained log lines (oldest first). The window
 // header fields state the sim-time range the dump covers, so a reader
-// can check an injection or incident window falls inside it.
+// can check an injection or incident window falls inside it. The
+// returned slice is exactly the document's size.
 func (r *recorder) dump(ev AlertEvent, tracer *obs.Tracer) []byte {
-	var buf bytes.Buffer
+	buf := &r.buf
+	size := 0
+	for i := 0; i < r.snapCount; i++ {
+		s := &r.snaps[(r.snapHead+i)%len(r.snaps)]
+		if s.line == "" {
+			buf.Reset()
+			renderMetrics(buf, s)
+			s.line = buf.String()
+		}
+		size += len(s.line)
+	}
 
+	buf.Reset()
 	from := ev.At
 	if r.snapCount > 0 {
 		from = r.snaps[r.snapHead].at
@@ -117,27 +136,10 @@ func (r *recorder) dump(ev AlertEvent, tracer *obs.Tracer) []byte {
 		from = r.logs[r.logHead].at
 	}
 	inst, _ := jsonString(ev.Instance)
-	fmt.Fprintf(&buf,
+	fmt.Fprintf(buf,
 		`{"type":"alert","rule":%q,"severity":%q,"instance":%s,"fired_ns":%d,"value":%s,"window_from_ns":%d,"window_to_ns":%d}`+"\n",
 		ev.Rule, ev.Severity, inst, int64(ev.At), jsonNumber(ev.Value), int64(from), int64(ev.At))
-
-	for i := 0; i < r.snapCount; i++ {
-		s := r.snaps[(r.snapHead+i)%len(r.snaps)]
-		fmt.Fprintf(&buf, `{"type":"metrics","sim_ns":%d,"points":[`, int64(s.at))
-		for j, mp := range s.points {
-			if j > 0 {
-				buf.WriteByte(',')
-			}
-			name, _ := jsonString(mp.Name)
-			id, _ := jsonString(labelID(mp.Labels))
-			fmt.Fprintf(&buf, `{"m":%s,"l":%s,"v":%s`, name, id, jsonNumber(mp.Value))
-			if mp.Kind == obs.KindHistogram {
-				fmt.Fprintf(&buf, `,"sum":%d`, mp.Sum)
-			}
-			buf.WriteByte('}')
-		}
-		buf.WriteString("]}\n")
-	}
+	header := buf.Len()
 
 	recs := tracer.Records()
 	if len(recs) > r.cfg.SpanTail {
@@ -145,10 +147,10 @@ func (r *recorder) dump(ev AlertEvent, tracer *obs.Tracer) []byte {
 	}
 	for _, sp := range recs {
 		name, _ := jsonString(sp.Name)
-		fmt.Fprintf(&buf, `{"type":"span","span":%d,"parent":%d,"name":%s,"start_ns":%d`,
+		fmt.Fprintf(buf, `{"type":"span","span":%d,"parent":%d,"name":%s,"start_ns":%d`,
 			sp.ID, sp.Parent, name, int64(sp.Start))
 		if sp.Ended {
-			fmt.Fprintf(&buf, `,"end_ns":%d`, int64(sp.End))
+			fmt.Fprintf(buf, `,"end_ns":%d`, int64(sp.End))
 		}
 		if len(sp.Attrs) > 0 {
 			buf.WriteString(`,"attrs":{`)
@@ -158,7 +160,7 @@ func (r *recorder) dump(ev AlertEvent, tracer *obs.Tracer) []byte {
 				}
 				k, _ := jsonString(a.Key)
 				v, _ := jsonString(a.Value)
-				fmt.Fprintf(&buf, `%s:%s`, k, v)
+				fmt.Fprintf(buf, `%s:%s`, k, v)
 			}
 			buf.WriteByte('}')
 		}
@@ -168,8 +170,33 @@ func (r *recorder) dump(ev AlertEvent, tracer *obs.Tracer) []byte {
 	for i := 0; i < r.logCount; i++ {
 		l := r.logs[(r.logHead+i)%len(r.logs)]
 		msg, _ := jsonString(l.msg)
-		fmt.Fprintf(&buf, `{"type":"log","sim_ns":%d,"source":%q,"level":%q,"msg":%s}`+"\n",
+		fmt.Fprintf(buf, `{"type":"log","sim_ns":%d,"source":%q,"level":%q,"msg":%s}`+"\n",
 			int64(l.at), l.source, l.level, msg)
 	}
-	return buf.Bytes()
+
+	b := buf.Bytes()
+	out := make([]byte, 0, len(b)+size)
+	out = append(out, b[:header]...)
+	for i := 0; i < r.snapCount; i++ {
+		out = append(out, r.snaps[(r.snapHead+i)%len(r.snaps)].line...)
+	}
+	return append(out, b[header:]...)
+}
+
+// renderMetrics writes one snapshot's dump line.
+func renderMetrics(buf *bytes.Buffer, s *metricSnap) {
+	fmt.Fprintf(buf, `{"type":"metrics","sim_ns":%d,"points":[`, int64(s.at))
+	for j, mp := range s.points {
+		if j > 0 {
+			buf.WriteByte(',')
+		}
+		name, _ := jsonString(mp.Name)
+		id, _ := jsonString(labelID(mp.Labels))
+		fmt.Fprintf(buf, `{"m":%s,"l":%s,"v":%s`, name, id, jsonNumber(mp.Value))
+		if mp.Kind == obs.KindHistogram {
+			fmt.Fprintf(buf, `,"sum":%d`, mp.Sum)
+		}
+		buf.WriteByte('}')
+	}
+	buf.WriteString("]}\n")
 }

@@ -1,0 +1,150 @@
+package health
+
+import (
+	"bytes"
+	"fmt"
+	"testing"
+
+	"repro/internal/obs"
+	"repro/internal/sim"
+)
+
+// oracleDump is the flight recorder's original renderer, which rendered
+// every retained snapshot afresh for each dump. The cached renderer must
+// reproduce it byte for byte.
+func oracleDump(r *recorder, ev AlertEvent, tracer *obs.Tracer) []byte {
+	var buf bytes.Buffer
+
+	from := ev.At
+	if r.snapCount > 0 {
+		from = r.snaps[r.snapHead].at
+	}
+	if r.logCount > 0 && r.logs[r.logHead].at < from {
+		from = r.logs[r.logHead].at
+	}
+	inst, _ := jsonString(ev.Instance)
+	fmt.Fprintf(&buf,
+		`{"type":"alert","rule":%q,"severity":%q,"instance":%s,"fired_ns":%d,"value":%s,"window_from_ns":%d,"window_to_ns":%d}`+"\n",
+		ev.Rule, ev.Severity, inst, int64(ev.At), jsonNumber(ev.Value), int64(from), int64(ev.At))
+
+	for i := 0; i < r.snapCount; i++ {
+		s := r.snaps[(r.snapHead+i)%len(r.snaps)]
+		fmt.Fprintf(&buf, `{"type":"metrics","sim_ns":%d,"points":[`, int64(s.at))
+		for j, mp := range s.points {
+			if j > 0 {
+				buf.WriteByte(',')
+			}
+			name, _ := jsonString(mp.Name)
+			id, _ := jsonString(labelID(mp.Labels))
+			fmt.Fprintf(&buf, `{"m":%s,"l":%s,"v":%s`, name, id, jsonNumber(mp.Value))
+			if mp.Kind == obs.KindHistogram {
+				fmt.Fprintf(&buf, `,"sum":%d`, mp.Sum)
+			}
+			buf.WriteByte('}')
+		}
+		buf.WriteString("]}\n")
+	}
+
+	recs := tracer.Records()
+	if len(recs) > r.cfg.SpanTail {
+		recs = recs[len(recs)-r.cfg.SpanTail:]
+	}
+	for _, sp := range recs {
+		name, _ := jsonString(sp.Name)
+		fmt.Fprintf(&buf, `{"type":"span","span":%d,"parent":%d,"name":%s,"start_ns":%d`,
+			sp.ID, sp.Parent, name, int64(sp.Start))
+		if sp.Ended {
+			fmt.Fprintf(&buf, `,"end_ns":%d`, int64(sp.End))
+		}
+		if len(sp.Attrs) > 0 {
+			buf.WriteString(`,"attrs":{`)
+			for i, a := range sp.Attrs {
+				if i > 0 {
+					buf.WriteByte(',')
+				}
+				k, _ := jsonString(a.Key)
+				v, _ := jsonString(a.Value)
+				fmt.Fprintf(&buf, `%s:%s`, k, v)
+			}
+			buf.WriteByte('}')
+		}
+		buf.WriteString("}\n")
+	}
+
+	for i := 0; i < r.logCount; i++ {
+		l := r.logs[(r.logHead+i)%len(r.logs)]
+		msg, _ := jsonString(l.msg)
+		fmt.Fprintf(&buf, `{"type":"log","sim_ns":%d,"source":%q,"level":%q,"msg":%s}`+"\n",
+			int64(l.at), l.source, l.level, msg)
+	}
+	return buf.Bytes()
+}
+
+// TestDumpMatchesOracle runs a monitor whose alerts fire every few ticks
+// on three instances, often on the same tick, so consecutive dumps
+// share most of their snapshots and the snapshot ring wraps many times.
+// Spans, a histogram and log lines fill the other sections. Every dump
+// must equal the original renderer's output at the moment it froze,
+// and be exactly its own size.
+func TestDumpMatchesOracle(t *testing.T) {
+	const rules = `{"rules":[{"name":"hot","threshold":{"expr":{"metric":"g"},"op":">","value":10}}]}`
+	k := sim.NewKernel()
+	reg := obs.NewKernelRegistry(k)
+	tracer := obs.NewKernelTracer(k)
+	rs, err := ParseBytes([]byte(rules))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m *Monitor
+	dumps := 0
+	m, err = NewMonitor(k, reg, tracer, Config{
+		Rules:    rs,
+		Recorder: RecorderConfig{LogDepth: 16, SpanTail: 8},
+		DumpSink: func(name string, data []byte) error {
+			dumps++
+			want := oracleDump(m.rec, m.events[len(m.events)-1], m.tracer)
+			if !bytes.Equal(data, want) {
+				t.Errorf("dump %d (%s) differs from the original renderer:\n got %q\nwant %q", dumps, name, data, want)
+			}
+			if cap(data) != len(data) {
+				t.Errorf("dump %d (%s): %d bytes in a %d-byte slice", dumps, name, len(data), cap(data))
+			}
+			return nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := []string{"A", "B", "C"}
+	var gauges []*obs.Gauge
+	for _, s := range sites {
+		gauges = append(gauges, reg.Gauge("g", obs.L("site", s)))
+	}
+	lat := reg.Histogram("latency_ns", obs.L("site", "A"))
+	m.Start()
+	const ticks = 40
+	var open *obs.Span
+	for sec := 1; sec <= ticks; sec++ {
+		// Just before the tick at sec: instance i holds on seconds
+		// divisible by i+2, so A and B fire together every 6 s.
+		k.At(sim.Time(sec)*sim.Second-sim.Millisecond, func() {
+			for i, g := range gauges {
+				v := 0.0
+				if sec%(i+2) == 0 {
+					v = 50
+				}
+				g.Set(v)
+			}
+			lat.Observe(int64(sec) * 1000)
+			m.Logf("test", "info", "second %d \"quoted\"", sec)
+			if open != nil {
+				open.End()
+			}
+			open = tracer.Start(fmt.Sprintf("step-%d", sec), obs.L("sec", fmt.Sprint(sec)))
+		})
+	}
+	k.RunUntil(sim.Time(ticks) * sim.Second)
+	if dumps < 2*ticks/3 {
+		t.Fatalf("%d dumps in %d ticks; the rules should fire more often", dumps, ticks)
+	}
+}

@@ -2,38 +2,21 @@ package trafficgen
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/sim"
 )
 
 // TestSampleIntoMatchesSample pins the refactor contract: SampleInto
-// with an arena produces the exact frame sequence (bytes, timestamps,
-// directions) Sample produces from the same generator state.
+// with an arena produces the exact frame sequence (bytes, sizes,
+// timestamps, directions) Sample produces from the same generator state,
+// and SamplePrefixesInto the same frames stored without their zero tails.
 func TestSampleIntoMatchesSample(t *testing.T) {
 	profiles := MakeSiteProfiles(3, 30)
 	for pi, p := range profiles[:6] {
 		cfg := SampleConfig{Duration: 20 * sim.Second, MaxFrames: 2000, FlowCount: 300}
-		g1 := NewGenerator(p, 77)
-		want, err := g1.Sample(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g2 := NewGenerator(p, 77)
-		arena := NewFrameArena()
-		got, err := g2.SampleInto(cfg, nil, arena.Alloc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("profile %d: %d frames vs %d", pi, len(got), len(want))
-		}
-		for i := range want {
-			if got[i].At != want[i].At || got[i].Dir != want[i].Dir || !bytes.Equal(got[i].Data, want[i].Data) {
-				t.Fatalf("profile %d frame %d differs (At %v/%v, Dir %v/%v, %d/%d bytes)",
-					pi, i, got[i].At, want[i].At, got[i].Dir, want[i].Dir, len(got[i].Data), len(want[i].Data))
-			}
-		}
+		checkSampleVariants(t, fmt.Sprintf("profile %d", pi), p, 77, cfg)
 	}
 }
 
@@ -42,25 +25,88 @@ func TestSampleIntoMatchesSample(t *testing.T) {
 func TestSampleIntoScanMode(t *testing.T) {
 	p := MakeSiteProfiles(5, 30)[0]
 	cfg := SampleConfig{Duration: 20 * sim.Second, MaxFrames: 8000, FlowCount: 6000}
-	g1 := NewGenerator(p, 11)
-	want, err := g1.Sample(cfg)
+	checkSampleVariants(t, "scan", p, 11, cfg)
+}
+
+// checkSampleVariants checks SampleInto and SamplePrefixesInto against
+// Sample from equal generator states, unbounded and under a MaxBytes
+// budget that cuts the sample to about half. The budget is counted on
+// wire lengths, so it must cut at the same frame whatever length the
+// clone returns: a whole frame, a prefix, or nothing at all.
+func checkSampleVariants(t *testing.T, name string, p Profile, seed uint64, cfg SampleConfig) {
+	t.Helper()
+	want, err := NewGenerator(p, seed).Sample(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	g2 := NewGenerator(p, 11)
-	arena := NewFrameArena()
-	got, err := g2.SampleInto(cfg, nil, arena.Alloc)
+	var total int64
+	for _, f := range want {
+		total += int64(f.Size)
+	}
+	budget := cfg
+	budget.MaxBytes = total / 2
+	wantCut, err := NewGenerator(p, seed).Sample(budget)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("%d frames vs %d", len(got), len(want))
+	if len(wantCut) == 0 || len(wantCut) >= len(want) {
+		t.Fatalf("%s: a budget of %d of %d bytes kept %d of %d frames", name, budget.MaxBytes, total, len(wantCut), len(want))
 	}
-	for i := range want {
-		if !bytes.Equal(got[i].Data, want[i].Data) {
-			t.Fatalf("frame %d differs", i)
+	for _, v := range []struct {
+		name   string
+		cfg    SampleConfig
+		want   []TimedFrame
+		stored string // what the clone keeps: "whole", "prefix" or "nothing"
+	}{
+		{"whole", cfg, want, "whole"},
+		{"prefixes", cfg, want, "prefix"},
+		{"whole/budget", budget, wantCut, "whole"},
+		{"prefixes/budget", budget, wantCut, "prefix"},
+		{"nothing/budget", budget, wantCut, "nothing"},
+	} {
+		g := NewGenerator(p, seed)
+		sample, clone := g.SampleInto, NewFrameArena().Alloc
+		switch v.stored {
+		case "prefix":
+			sample = g.SamplePrefixesInto
+		case "nothing":
+			clone = func([]byte) []byte { return nil }
+		}
+		got, err := sample(v.cfg, nil, clone)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(v.want) {
+			t.Fatalf("%s %s: %d frames vs %d", name, v.name, len(got), len(v.want))
+		}
+		for i, w := range v.want {
+			f := got[i]
+			if f.At != w.At || f.Dir != w.Dir || f.Size != w.Size || int(w.Size) != len(w.Data) {
+				t.Fatalf("%s %s frame %d: At %v/%v, Dir %v/%v, Size %d/%d, Sample's frame %d bytes",
+					name, v.name, i, f.At, w.At, f.Dir, w.Dir, f.Size, w.Size, len(w.Data))
+			}
+			switch v.stored {
+			case "whole":
+				if !bytes.Equal(f.Data, w.Data) {
+					t.Fatalf("%s %s frame %d: bytes differ", name, v.name, i)
+				}
+			case "prefix":
+				if !bytes.HasPrefix(w.Data, f.Data) || !allZero(w.Data[len(f.Data):]) {
+					t.Fatalf("%s %s frame %d: %d stored bytes are not a prefix of the %d-byte frame followed by zeros",
+						name, v.name, i, len(f.Data), len(w.Data))
+				}
+			}
 		}
 	}
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // TestArenaReuse checks that Reset recycles chunk memory: a second

@@ -21,10 +21,15 @@ const (
 )
 
 // TimedFrame is one synthesized frame with its arrival timestamp within a
-// sample window.
+// sample window. Data holds the whole frame, except in a sample taken
+// with SamplePrefixesInto: there it holds the frame up to its all-zero
+// tail, and the frame's other Size-len(Data) bytes are zero.
 type TimedFrame struct {
 	At   sim.Time
 	Data []byte
+	// Size is the wire length. An int32 keeps TimedFrame at 40 bytes:
+	// every sample is sorted by value.
+	Size int32
 	Dir  Dir
 }
 
@@ -95,6 +100,9 @@ type Generator struct {
 	ctrl wire.Packet
 	// labels is the MPLS stack SampleInto's current flow borrows.
 	labels []uint32
+	// prefix is the length of the last built frame up to its all-zero
+	// tail (zero payload and minimum-frame padding).
+	prefix int
 }
 
 // layerScratch pools serialization state. Fields with two instances
@@ -121,6 +129,9 @@ type layerScratch struct {
 	pay    wire.Payload
 	payBuf []byte
 	layers []wire.SerializableLayer
+	// zeroTail is how many bytes at the end of the frame being built's
+	// payload are zero. The payload is always a frame's last layer.
+	zeroTail int
 }
 
 // payload returns the pooled payload sized to n, zero-filled — reusing
@@ -132,7 +143,15 @@ func (s *layerScratch) payload(n int) *wire.Payload {
 	b := s.payBuf[:n]
 	clear(b)
 	s.pay = wire.Payload(b)
+	s.zeroTail = n
 	return &s.pay
+}
+
+// bannerPayload is payload with as much of text as fits at its start.
+func (s *layerScratch) bannerPayload(n int, text string) *wire.Payload {
+	pay := s.payload(n)
+	s.zeroTail -= copy(*pay, text)
+	return pay
 }
 
 // NewGenerator binds a profile to a seeded source.
@@ -261,6 +280,7 @@ func (g *Generator) BuildFrame(fs *FlowSpec, dir Dir, wireSize int) ([]byte, err
 func (g *Generator) buildFrameRaw(fs *FlowSpec, dir Dir, wireSize int) ([]byte, error) {
 	ls := &g.ls
 	layers := ls.layers[:0]
+	ls.zeroTail = 0
 	srcMAC, dstMAC := fs.SrcMAC, fs.DstMAC
 	srcIP, dstIP := fs.SrcIP, fs.DstIP
 	srcPort, dstPort := fs.SrcPort, fs.DstPort
@@ -397,13 +417,9 @@ func (g *Generator) buildFrameRaw(fs *FlowSpec, dir Dir, wireSize int) ([]byte, 
 				layers = append(layers, &ls.tls)
 				layers = append(layers, ls.payload(clampPayload(payLen-5, 1)))
 			case KindSSH:
-				pay := ls.payload(payLen)
-				copy(*pay, "SSH-2.0-OpenSSH_9.6\r\n")
-				layers = append(layers, pay)
+				layers = append(layers, ls.bannerPayload(payLen, "SSH-2.0-OpenSSH_9.6\r\n"))
 			case KindHTTP:
-				pay := ls.payload(payLen)
-				copy(*pay, "GET /data HTTP/1.1\r\nHost: x\r\n\r\n")
-				layers = append(layers, pay)
+				layers = append(layers, ls.bannerPayload(payLen, "GET /data HTTP/1.1\r\nHost: x\r\n\r\n"))
 			default:
 				layers = append(layers, ls.payload(payLen))
 			}
@@ -462,11 +478,14 @@ func stackOverhead(fs *FlowSpec) int {
 
 // serializeRaw serializes into the generator's reusable buffer and
 // returns the borrowed bytes — valid only until the next build call.
+// It records where the frame's all-zero tail starts: the payload's zero
+// run ends the serialized layers, and padding only appends zeros.
 func (g *Generator) serializeRaw(layers []wire.SerializableLayer) ([]byte, error) {
 	g.ls.layers = layers[:0] // keep the grown slice for the next build
 	if err := wire.SerializeLayers(g.buf, wire.SerializeOptions{FixLengths: true}, layers...); err != nil {
 		return nil, err
 	}
+	g.prefix = len(g.buf.Bytes()) - g.ls.zeroTail
 	if err := wire.PadToMinimumFrame(g.buf); err != nil {
 		return nil, err
 	}
@@ -498,8 +517,30 @@ func (g *Generator) Sample(cfg SampleConfig) ([]TimedFrame, error) {
 // through clone — typically a FrameArena's Alloc — instead of an
 // individual heap copy. The RNG draw sequence is identical to Sample's,
 // so from equal generator states the two produce byte-identical frame
-// sequences.
+// sequences. MaxBytes counts each frame's Size, whatever clone returns.
 func (g *Generator) SampleInto(cfg SampleConfig, frames []TimedFrame, clone func([]byte) []byte) ([]TimedFrame, error) {
+	return g.sample(cfg, frames, clone, false)
+}
+
+// SamplePrefixesInto is SampleInto that hands clone each frame only up
+// to its all-zero tail (zero payload bytes and minimum-frame padding),
+// which is most of a data frame's bytes. A consumer rebuilds a frame by
+// extending Data with zeros to Size. The generator knows where each
+// tail starts, so nothing scans the bytes for it.
+func (g *Generator) SamplePrefixesInto(cfg SampleConfig, frames []TimedFrame, clone func([]byte) []byte) ([]TimedFrame, error) {
+	return g.sample(cfg, frames, clone, true)
+}
+
+// keep stabilizes the frame just built through clone: all of it, or
+// with prefixes only the bytes before its all-zero tail.
+func (g *Generator) keep(raw []byte, clone func([]byte) []byte, prefixes bool) []byte {
+	if prefixes {
+		raw = raw[:g.prefix]
+	}
+	return clone(raw)
+}
+
+func (g *Generator) sample(cfg SampleConfig, frames []TimedFrame, clone func([]byte) []byte, prefixes bool) ([]TimedFrame, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 20 * sim.Second
 	}
@@ -554,15 +595,15 @@ func (g *Generator) SampleInto(cfg SampleConfig, frames []TimedFrame, clone func
 			}
 			// The raw bytes alias the serialize buffer: stabilize each
 			// frame before the next build overwrites it.
-			syn := clone(raw)
+			syn, synSize := g.keep(raw, clone, prefixes), int32(len(raw))
 			raw, err = g.buildTCPControlRaw(&fs, DirReverse, wire.TCPSyn|wire.TCPAck)
 			if err != nil {
 				return nil, err
 			}
-			synAck := clone(raw)
-			frames = append(frames, TimedFrame{At: flowStart, Data: syn, Dir: DirForward})
-			frames = append(frames, TimedFrame{At: flowStart + sim.Time(g.r.Int63n(int64(2*sim.Millisecond))), Data: synAck, Dir: DirReverse})
-			totalBytes += int64(len(syn) + len(synAck))
+			synAck := g.keep(raw, clone, prefixes)
+			frames = append(frames, TimedFrame{At: flowStart, Data: syn, Size: synSize, Dir: DirForward})
+			frames = append(frames, TimedFrame{At: flowStart + sim.Time(g.r.Int63n(int64(2*sim.Millisecond))), Data: synAck, Size: int32(len(raw)), Dir: DirReverse})
+			totalBytes += int64(synSize) + int64(len(raw))
 			framesLeft -= 2
 		}
 		var lastAt sim.Time
@@ -582,13 +623,13 @@ func (g *Generator) SampleInto(cfg SampleConfig, frames []TimedFrame, clone func
 			if err != nil {
 				return nil, fmt.Errorf("trafficgen: building %v frame: %w", fs.Kind, err)
 			}
-			data := clone(raw)
+			data := g.keep(raw, clone, prefixes)
 			at := sim.Time(g.r.Int63n(int64(cfg.Duration)))
 			if at > lastAt {
 				lastAt = at
 			}
-			frames = append(frames, TimedFrame{At: at, Data: data, Dir: DirForward})
-			totalBytes += int64(len(data))
+			frames = append(frames, TimedFrame{At: at, Data: data, Size: int32(len(raw)), Dir: DirForward})
+			totalBytes += int64(len(raw))
 			framesLeft--
 			// Bulk TCP flows generate a reverse ACK for roughly every
 			// fourth data frame (delayed ACKs plus receive coalescing) —
@@ -599,9 +640,9 @@ func (g *Generator) SampleInto(cfg SampleConfig, frames []TimedFrame, clone func
 				if err != nil {
 					return nil, err
 				}
-				ack := clone(raw)
-				frames = append(frames, TimedFrame{At: at + sim.Time(g.r.Int63n(int64(sim.Millisecond))), Data: ack, Dir: DirReverse})
-				totalBytes += int64(len(ack))
+				ack := g.keep(raw, clone, prefixes)
+				frames = append(frames, TimedFrame{At: at + sim.Time(g.r.Int63n(int64(sim.Millisecond))), Data: ack, Size: int32(len(raw)), Dir: DirReverse})
+				totalBytes += int64(len(raw))
 				framesLeft--
 			}
 			// Request/response kinds answer once.
@@ -611,9 +652,9 @@ func (g *Generator) SampleInto(cfg SampleConfig, frames []TimedFrame, clone func
 				if err != nil {
 					return nil, err
 				}
-				resp := clone(raw)
-				frames = append(frames, TimedFrame{At: at + sim.Time(g.r.Int63n(int64(10*sim.Millisecond))), Data: resp, Dir: DirReverse})
-				totalBytes += int64(len(resp))
+				resp := g.keep(raw, clone, prefixes)
+				frames = append(frames, TimedFrame{At: at + sim.Time(g.r.Int63n(int64(10*sim.Millisecond))), Data: resp, Size: int32(len(raw)), Dir: DirReverse})
+				totalBytes += int64(len(raw))
 				framesLeft--
 			}
 		}
@@ -627,18 +668,18 @@ func (g *Generator) SampleInto(cfg SampleConfig, frames []TimedFrame, clone func
 				if err != nil {
 					return nil, err
 				}
-				rst := clone(raw)
-				frames = append(frames, TimedFrame{At: lastAt, Data: rst, Dir: DirForward})
-				totalBytes += int64(len(rst))
+				rst := g.keep(raw, clone, prefixes)
+				frames = append(frames, TimedFrame{At: lastAt, Data: rst, Size: int32(len(raw)), Dir: DirForward})
+				totalBytes += int64(len(raw))
 				framesLeft--
 			case g.r.Bool(0.3):
 				raw, err := g.buildTCPControlRaw(&fs, DirForward, wire.TCPFin|wire.TCPAck)
 				if err != nil {
 					return nil, err
 				}
-				fin := clone(raw)
-				frames = append(frames, TimedFrame{At: lastAt, Data: fin, Dir: DirForward})
-				totalBytes += int64(len(fin))
+				fin := g.keep(raw, clone, prefixes)
+				frames = append(frames, TimedFrame{At: lastAt, Data: fin, Size: int32(len(raw)), Dir: DirForward})
+				totalBytes += int64(len(raw))
 				framesLeft--
 			}
 		}

@@ -11,7 +11,9 @@
 # kernel's FIFO-stream-vs-AtArg differential), a
 # harvest scheduling gate (bundles compressed on worker goroutines must
 # be byte-identical at GOMAXPROCS 1 and 4, repeated under the race
-# detector), a
+# detector), a window prefetch gate (traffic windows built one ahead on
+# goroutines must cross the switch exactly as the reference driver's at
+# GOMAXPROCS 1 and 4, repeated under the race detector), a
 # streaming-analytics equivalence gate (the single-pass digester and
 # the materialized in-memory pipeline must agree byte-for-byte on every
 # CSV and figure artifact, spilling included), and a
@@ -60,6 +62,11 @@ go test -run='^$' -fuzz='^FuzzFIFOMatchesAtArg$' -fuzztime=5s ./internal/sim
 # goroutine, so every bundle must be the same however the workers are
 # scheduled, including a cycle whose engines a restart rebuilt.
 go test -race -count=10 -run '^TestHarvestSchedulingIndependent$' ./internal/core
+
+# Window prefetch gate: traffic drivers build each window on a goroutine
+# one window ahead, so their transits must match the reference driver
+# at GOMAXPROCS 1 and 4, across a restart with a build in flight.
+go test -race -count=10 -run '^TestDriver' ./internal/core
 
 # Streaming-analytics equivalence gate: streamed digest vs materialized
 # baseline on clean and hostile corpora, and the streamed acap encoder
