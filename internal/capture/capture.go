@@ -506,17 +506,33 @@ func loadStep(a any) {
 // offers frames of the given wire size at the given rate for the given
 // duration (deterministic spacing), runs the kernel, flushes, and returns
 // the engine's stats. The frames carry no data bytes (rate modeling
-// only).
+// only). It is ScheduleLoad followed by Drain.
 func OfferLoad(k *sim.Kernel, e *Engine, frameSize int, rate units.BitRate, dur sim.Duration) Stats {
+	ScheduleLoad(k, e, frameSize, rate, dur)
+	return Drain(k, e)
+}
+
+// ScheduleLoad schedules OfferLoad's load on k without running it and
+// returns the number of frames it offers. A caller that steps the kernel
+// itself can stop early, or finish with Drain.
+func ScheduleLoad(k *sim.Kernel, e *Engine, frameSize int, rate units.BitRate, dur sim.Duration) int64 {
+	if dur <= 0 {
+		return 0
+	}
 	interval := sim.Duration(rate.TransmitNanos(frameSize))
 	if interval < 1 {
 		interval = 1
 	}
 	d := &loadDriver{k: k, e: e, frameSize: frameSize, interval: interval,
 		next: k.Now(), end: k.Now() + dur}
-	if d.next < d.end {
-		k.AtArg(d.next, loadStep, d)
-	}
+	k.AtArg(d.next, loadStep, d)
+	// One frame at each multiple of interval below dur.
+	return int64((dur + interval - 1) / interval)
+}
+
+// Drain runs the kernel until it is idle, flushes the engine's partial
+// writev batches and returns the engine's stats.
+func Drain(k *sim.Kernel, e *Engine) Stats {
 	k.Run()
 	e.Flush()
 	k.Run()

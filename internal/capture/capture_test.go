@@ -46,6 +46,21 @@ func TestInvalidConfig(t *testing.T) {
 	}
 }
 
+// TestScheduleLoadCountsFrames checks ScheduleLoad's frame count
+// against the frames the load delivers, including durations that are
+// and are not a multiple of the frame interval.
+func TestScheduleLoadCountsFrames(t *testing.T) {
+	rate := 100 * units.Gbps
+	interval := sim.Duration(rate.TransmitNanos(1514))
+	for _, dur := range []sim.Duration{0, 1, interval - 1, interval, interval + 1, 7 * interval, 30 * sim.Millisecond} {
+		k, e := newEngine(t, Config{Method: MethodDPDK, Cores: 4})
+		n := ScheduleLoad(k, e, 1514, rate, dur)
+		if st := Drain(k, e); st.Received != n {
+			t.Errorf("dur %v: ScheduleLoad counts %d frames, %d delivered", dur, n, st.Received)
+		}
+	}
+}
+
 func TestTcpdumpLosslessAt8Gbps(t *testing.T) {
 	// Section 8.1.2: tcpdump captures without loss until about 8.5 Gbps
 	// of 1500-byte frames.

@@ -218,17 +218,22 @@ func AblationMirrorDirection(seed uint64) (*Result, error) {
 		if _, err := sw.StartMirror("P1", dirs, "P2"); err != nil {
 			return nil, err
 		}
-		// Drive P1 at line rate in both directions for 200 ms.
+		// Drive P1 at line rate in both directions for 200 ms, one
+		// event that reschedules itself per frame pair. P2 has no
+		// receiver, so a transit schedules nothing.
 		lineRate := 100 * units.Gbps
 		const frame = 9000
 		interval := sim.Duration(lineRate.TransmitNanos(frame))
-		for ts := sim.Time(0); ts < 200*sim.Millisecond; ts += interval {
-			ts := ts
-			k.At(ts, func() {
-				_ = sw.Transit("P1", switchsim.DirRx, switchsim.Frame{Size: frame})
-				_ = sw.Transit("P1", switchsim.DirTx, switchsim.Frame{Size: frame})
-			})
+		var ts sim.Time
+		var step func()
+		step = func() {
+			_ = sw.Transit("P1", switchsim.DirRx, switchsim.Frame{Size: frame})
+			_ = sw.Transit("P1", switchsim.DirTx, switchsim.Frame{Size: frame})
+			if ts += interval; ts < 200*sim.Millisecond {
+				k.At(ts, step)
+			}
 		}
+		k.At(ts, step)
 		k.Run()
 		m := sw.Mirrors()[0]
 		offered := m.Cloned + m.CloneDrops

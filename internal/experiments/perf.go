@@ -59,41 +59,83 @@ type tableRow struct {
 	paperLoss  float64
 }
 
+// tableMaxCores is the largest core count a Table 1/2 search probes.
+const tableMaxCores = 15
+
+// tableProbe is one Table 1/2 probe: a row's frame size at the paper's
+// rate, offered for 30 ms to a DPDK engine with a given number of cores.
+type tableProbe struct {
+	k *sim.Kernel
+	e *capture.Engine
+	// n is the number of frames the load offers. No frame is filtered,
+	// so the probe's loss is PercentOf(Dropped, n) once it has run.
+	n int64
+	// failAt is the least drop count whose loss reaches 1% (n+1, which
+	// no probe reaches, when n is 0).
+	failAt int64
+}
+
+// newTableProbe builds a probe with its load scheduled but not run.
+func newTableProbe(snap int, row tableRow, cores int) (*tableProbe, error) {
+	k := sim.NewKernel()
+	host, err := hostsim.New(hostsim.Config{DirtyBackgroundRatio: 60, DirtyRatio: 80})
+	if err != nil {
+		return nil, err
+	}
+	e, err := capture.NewEngine(k, capture.Config{
+		Method: capture.MethodDPDK, SnapLen: snap, Cores: cores,
+		RxQueueDepth: 4096, Host: host,
+	})
+	if err != nil {
+		return nil, err
+	}
+	p := &tableProbe{k: k, e: e}
+	p.n = capture.ScheduleLoad(k, e, row.frameSize, row.paperRate, 30*sim.Millisecond)
+	p.failAt = p.n / 100
+	for p.failAt <= p.n && units.PercentOf(p.failAt, p.n) < 1 {
+		p.failAt++
+	}
+	return p, nil
+}
+
+// settle runs the probe until it is certain to fail or its load is
+// done, and reports whether it failed. Drops only grow, so once they
+// reach failAt the probe's loss is at least 1% however it ends.
+func (p *tableProbe) settle() bool {
+	for p.e.Stats.Dropped < p.failAt && p.k.Step() {
+	}
+	return p.e.Stats.Dropped >= p.failAt
+}
+
+// loss runs the probe to the end and returns its loss percentage.
+func (p *tableProbe) loss() float64 {
+	return float64(capture.Drain(p.k, p.e).LossPercent())
+}
+
 // runTable produces the Table 1/2 reproduction for a truncation length:
 // for each frame size it reports the minimum cores sustaining the
-// paper's rate at <1% loss (or the loss at 15 cores when the rate is not
-// sustainable), plus the maximum sustainable rate with 15 cores.
+// paper's rate at <1% loss, or the loss at 15 cores when no count up to
+// 15 sustains it. A probe below 15 cores stops as soon as its failure
+// is certain; passing probes and the 15-core probe run to the end,
+// because their loss is printed.
 func runTable(id, title string, snap int, rows []tableRow) (*Result, error) {
 	res := &Result{
 		ID:     id,
 		Title:  title,
 		Header: []string{"frame_size_B", "rate", "paper_cores", "min_cores_measured", "loss_percent"},
 	}
-	const window = 30 * sim.Millisecond
-	lossAt := func(frame int, rate units.BitRate, cores int) (float64, error) {
-		k := sim.NewKernel()
-		host, err := hostsim.New(hostsim.Config{DirtyBackgroundRatio: 60, DirtyRatio: 80})
-		if err != nil {
-			return 0, err
-		}
-		e, err := capture.NewEngine(k, capture.Config{
-			Method: capture.MethodDPDK, SnapLen: snap, Cores: cores,
-			RxQueueDepth: 4096, Host: host,
-		})
-		if err != nil {
-			return 0, err
-		}
-		st := capture.OfferLoad(k, e, frame, rate, window)
-		return float64(st.LossPercent()), nil
-	}
 	for _, row := range rows {
 		minCores := 0
 		var loss float64
-		for c := 1; c <= 15; c++ {
-			l, err := lossAt(row.frameSize, row.paperRate, c)
+		for c := 1; c <= tableMaxCores; c++ {
+			p, err := newTableProbe(snap, row, c)
 			if err != nil {
 				return nil, err
 			}
+			if c < tableMaxCores && p.settle() {
+				continue
+			}
+			l := p.loss()
 			if l < 1 {
 				minCores, loss = c, l
 				break
@@ -122,24 +164,31 @@ func describeRows(rows []tableRow) string {
 	return s
 }
 
-// Table1 regenerates "200B truncation, 60:80 threshold".
-func Table1(seed uint64) (*Result, error) {
-	return runTable("table1", "DPDK capture, 200B truncation, 60:80 thresholds", 200, []tableRow{
+// table1Rows and table2Rows are the paper's Table 1 (200B truncation)
+// and Table 2 (64B truncation) operating points.
+var (
+	table1Rows = []tableRow{
 		{1514, 100 * units.Gbps, 5, 0.67},
 		{1024, 100 * units.Gbps, 10, 0.13},
 		{512, 60 * units.Gbps, 15, 0.03},
 		{128, 15 * units.Gbps, 15, 0.10},
-	})
-}
-
-// Table2 regenerates "64B truncation, 60:80 threshold".
-func Table2(seed uint64) (*Result, error) {
-	return runTable("table2", "DPDK capture, 64B truncation, 60:80 thresholds", 64, []tableRow{
+	}
+	table2Rows = []tableRow{
 		{1514, 100 * units.Gbps, 3, 0.17},
 		{1024, 100 * units.Gbps, 5, 0.32},
 		{512, 100 * units.Gbps, 15, 0.07},
 		{128, 28 * units.Gbps, 15, 0.13},
-	})
+	}
+)
+
+// Table1 regenerates "200B truncation, 60:80 threshold".
+func Table1(seed uint64) (*Result, error) {
+	return runTable("table1", "DPDK capture, 200B truncation, 60:80 thresholds", 200, table1Rows)
+}
+
+// Table2 regenerates "64B truncation, 60:80 threshold".
+func Table2(seed uint64) (*Result, error) {
+	return runTable("table2", "DPDK capture, 64B truncation, 60:80 thresholds", 64, table2Rows)
 }
 
 // Fig14 regenerates the Appendix B storage-bottleneck study: summed

@@ -23,47 +23,130 @@ func init() {
 // profile corpus (the paper's S0-S29).
 const profileCorpusSites = 30
 
+// corpusSnapLen is the number of bytes of each corpus frame the digester
+// sees, the platform's default truncation length.
+const corpusSnapLen = 200
+
 // streamDigest builds the multi-site corpus behind the Section 8.2
 // figures and runs it through the streaming digester in a single pass.
 // flowCount > 0 pins the number of flows per sample (long flow snippets,
 // as a 20s line-rate capture sees); flowCount == 0 draws it from the
 // site's profile (for the flow-count figure). Frames are generated into
-// a recycled arena, digested, and dropped — nothing proportional to the
-// corpus size stays resident. The flow table's hot set is bounded; the
-// figures never read exact aggregates, so spilled rows are dropped
+// two recycled arenas, digested, and dropped — nothing proportional to
+// the corpus size stays resident. The flow table's hot set is bounded;
+// the figures never read exact aggregates, so spilled rows are dropped
 // rather than written out.
 func streamDigest(seed uint64, samplesPerSite, framesPerSample, flowCount int) (*analysis.Digester, error) {
-	profiles := trafficgen.MakeSiteProfiles(seed, profileCorpusSites)
 	d := analysis.NewDigester(analysis.DigestOptions{MaxHotFlows: 4096})
-	arena := trafficgen.NewFrameArena()
-	var frames []trafficgen.TimedFrame
-	for i, p := range profiles {
+	var snap snapBuf
+	err := streamCorpus(seed, samplesPerSite, framesPerSample, flowCount, func(site string, frames []trafficgen.TimedFrame) error {
+		d.StartSample(site)
+		for i := range frames {
+			if err := snap.digest(d, &frames[i]); err != nil {
+				return err
+			}
+		}
+		d.EndSample()
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// snapBuf is streamDigest's scratch frame. It is all zero between
+// digest calls.
+type snapBuf [corpusSnapLen]byte
+
+// digest hands d the first corpusSnapLen bytes of tf, a frame stored up
+// to its all-zero tail. A shorter stored prefix is expanded into b and
+// zeroed again after the call; the digester does not keep the bytes.
+func (b *snapBuf) digest(d *analysis.Digester, tf *trafficgen.TimedFrame) error {
+	n := min(int(tf.Size), corpusSnapLen)
+	if len(tf.Data) >= n {
+		return d.Frame(int64(tf.At), tf.Data[:n], int(tf.Size))
+	}
+	copy(b[:], tf.Data)
+	err := d.Frame(int64(tf.At), b[:n], int(tf.Size))
+	clear(b[:len(tf.Data)])
+	return err
+}
+
+// corpusSample is one sample of the Section 8.2 corpus: its site and
+// its frames, each stored up to its all-zero tail in the arena.
+type corpusSample struct {
+	site   string
+	frames []trafficgen.TimedFrame
+	arena  trafficgen.FrameArena
+	err    error
+}
+
+// streamCorpus generates the corpus streamDigest digests and hands fn
+// each sample in corpus order: every site's samples in turn, from one
+// generator per site. A producer goroutine builds sample k+1 into the
+// other of two buffers while fn reads sample k, so fn must not keep the
+// frames past its return. Only the producer touches the generators and
+// only fn's goroutine runs fn, so the corpus does not depend on
+// goroutine timing. streamCorpus returns the first error of either side
+// and joins the producer on every return path.
+func streamCorpus(seed uint64, samplesPerSite, framesPerSample, flowCount int, fn func(site string, frames []trafficgen.TimedFrame) error) error {
+	var bufs [2]corpusSample
+	// Each channel can hold both buffers, so no send blocks.
+	free := make(chan *corpusSample, len(bufs))
+	full := make(chan *corpusSample, len(bufs))
+	quit := make(chan struct{})
+	for i := range bufs {
+		free <- &bufs[i]
+	}
+	go func() {
+		defer close(full)
+		produceCorpus(seed, samplesPerSite, framesPerSample, flowCount, free, full, quit)
+	}()
+	defer func() {
+		close(quit)
+		for range full {
+		}
+	}()
+	for b := range full {
+		if b.err != nil {
+			return b.err
+		}
+		if err := fn(b.site, b.frames); err != nil {
+			return err
+		}
+		free <- b
+	}
+	return nil
+}
+
+// produceCorpus is streamCorpus's producer. It fills each buffer taken
+// from free with the next sample and passes it on through full, and
+// returns after the last sample, after a failed one, or once quit is
+// closed.
+func produceCorpus(seed uint64, samplesPerSite, framesPerSample, flowCount int, free <-chan *corpusSample, full chan<- *corpusSample, quit <-chan struct{}) {
+	for i, p := range trafficgen.MakeSiteProfiles(seed, profileCorpusSites) {
 		gen := trafficgen.NewGenerator(p, seed*1000+uint64(i))
 		for s := 0; s < samplesPerSite; s++ {
-			arena.Reset()
-			var err error
-			frames, err = gen.SampleInto(trafficgen.SampleConfig{
+			var b *corpusSample
+			select {
+			case b = <-free:
+			case <-quit:
+				return
+			}
+			b.arena.Reset()
+			b.site = p.Site
+			b.frames, b.err = gen.SamplePrefixesInto(trafficgen.SampleConfig{
 				Duration:  20 * sim.Second,
 				MaxFrames: framesPerSample,
 				FlowCount: flowCount,
-			}, frames[:0], arena.Alloc)
-			if err != nil {
-				return nil, err
+			}, b.frames[:0], b.arena.Alloc)
+			full <- b
+			if b.err != nil {
+				return
 			}
-			d.StartSample(p.Site)
-			for _, tf := range frames {
-				stored := tf.Data
-				if len(stored) > 200 {
-					stored = stored[:200]
-				}
-				if err := d.Frame(int64(tf.At), stored, len(tf.Data)); err != nil {
-					return nil, err
-				}
-			}
-			d.EndSample()
 		}
 	}
-	return d, nil
 }
 
 // Fig11 regenerates the per-site header-diversity figure: distinct

@@ -2,7 +2,12 @@ package experiments
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/sim"
@@ -129,26 +134,34 @@ func baselineFig(t *testing.T, id string, seed uint64) *Result {
 
 // TestStreamedFiguresMatchBaseline is the experiment-level equivalence
 // gate: each rewired figure, run through the streaming digester, must
-// render byte-identically to the materialize-everything baseline.
+// render byte-identically to the materialize-everything baseline. It
+// runs at GOMAXPROCS 1 and 4, because streamDigest generates the corpus
+// on a goroutine beside the digest.
 func TestStreamedFiguresMatchBaseline(t *testing.T) {
 	const seed = 4
-	for _, id := range []string{"fig11", "fig12", "fig15", "framesizes"} {
-		res, err := Run(id, seed)
-		if err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		got := renderBytes(t, res)
-		want := renderBytes(t, baselineFig(t, id, seed))
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s: streamed output differs from in-memory baseline\n--- streamed ---\n%s\n--- baseline ---\n%s", id, got, want)
-		}
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			for _, id := range []string{"fig11", "fig12", "fig15", "framesizes"} {
+				res, err := Run(id, seed)
+				if err != nil {
+					t.Fatalf("%s: %v", id, err)
+				}
+				got := renderBytes(t, res)
+				want := renderBytes(t, baselineFig(t, id, seed))
+				if !bytes.Equal(got, want) {
+					t.Errorf("%s: streamed output differs from in-memory baseline\n--- streamed ---\n%s\n--- baseline ---\n%s", id, got, want)
+				}
+			}
+		})
 	}
 }
 
 // TestStreamedFig13MatchesBaseline covers the flow-count figure at a
-// reduced frame budget (the registered experiment digests 3.6M frames;
-// the contract is identical either way). The streamed side reproduces
-// streamDigest's wiring at the smaller scale.
+// reduced frame budget (the registered experiment caps samples at 30,000
+// frames and digests about 1.3M frames; the contract is identical either
+// way). The streamed side reproduces streamDigest's wiring at the
+// smaller scale.
 func TestStreamedFig13MatchesBaseline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fig13 corpus is large")
@@ -163,4 +176,120 @@ func TestStreamedFig13MatchesBaseline(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("fig13: streamed output differs from in-memory baseline\n--- streamed ---\n%s\n--- baseline ---\n%s", got, want)
 	}
+}
+
+// TestStreamedFig13SmallMatchesBaseline is a fig13 case small enough for
+// -short, so the race detector checks streamDigest's handoff: flow
+// counts drawn from the profiles (flowCount 0), which includes port-scan
+// samples whose frames are mostly zero padding, at GOMAXPROCS 1 and 4.
+func TestStreamedFig13SmallMatchesBaseline(t *testing.T) {
+	const (
+		seed    = 4
+		samples = 2
+		frames  = 2000
+	)
+	acaps, err := corpus(seed, samples, frames, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counts []int
+	scans := 0
+	for _, a := range acaps {
+		n := analysis.FlowsInSample(a)
+		counts = append(counts, n)
+		// Outside scan mode every flow has at least two frames.
+		if n == len(a.Records) && n > frames/2 {
+			scans++
+		}
+	}
+	if scans == 0 {
+		t.Fatal("the corpus has no port-scan sample")
+	}
+	want := renderBytes(t, fig13From(counts))
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			d, err := streamDigest(seed, samples, frames, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := renderBytes(t, fig13From(d.SampleFlowCounts()))
+			if !bytes.Equal(got, want) {
+				t.Errorf("fig13: streamed output differs from in-memory baseline\n--- streamed ---\n%s\n--- baseline ---\n%s", got, want)
+			}
+		})
+	}
+}
+
+// TestStreamCorpusJoinsProducer fails if streamCorpus returns while its
+// producer goroutine still runs: after a complete pass, and after the
+// consumer fails at the first sample and at a later one.
+func TestStreamCorpusJoinsProducer(t *testing.T) {
+	errStop := errors.New("stop")
+	for _, tc := range []struct {
+		name   string
+		failAt int // 1-based sample at which fn fails; 0 never
+	}{{"completed", 0}, {"first", 1}, {"later", 7}} {
+		t.Run(tc.name, func(t *testing.T) {
+			start := runtime.NumGoroutine()
+			seen := 0
+			err := streamCorpus(4, 1, 500, 75, func(string, []trafficgen.TimedFrame) error {
+				seen++
+				if seen == tc.failAt {
+					return errStop
+				}
+				return nil
+			})
+			if tc.failAt == 0 && (err != nil || seen != profileCorpusSites) {
+				t.Fatalf("err = %v after %d samples, want nil after %d", err, seen, profileCorpusSites)
+			}
+			if tc.failAt > 0 && (!errors.Is(err, errStop) || seen != tc.failAt) {
+				t.Fatalf("err = %v after %d samples, want %v after %d", err, seen, errStop, tc.failAt)
+			}
+			buf := make([]byte, 1<<20)
+			if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "experiments.produceCorpus") {
+				t.Fatalf("the corpus producer outlived streamCorpus:\n%s", stacks)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for runtime.NumGoroutine() > start {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after streamCorpus, %d before", runtime.NumGoroutine(), start)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestSnapBufZeroBetweenFrames checks that streamDigest's scratch frame
+// is all zero after every frame, over a corpus whose frames include
+// prefixes shorter than the snap length, so each short frame is
+// expanded with zeros and not with an earlier frame's bytes.
+func TestSnapBufZeroBetweenFrames(t *testing.T) {
+	d := analysis.NewDigester(analysis.DigestOptions{MaxHotFlows: 4096})
+	var snap snapBuf
+	expanded := 0
+	err := streamCorpus(4, 1, 2000, 0, func(site string, frames []trafficgen.TimedFrame) error {
+		d.StartSample(site)
+		for i := range frames {
+			if len(frames[i].Data) < min(int(frames[i].Size), corpusSnapLen) {
+				expanded++
+			}
+			if err := snap.digest(d, &frames[i]); err != nil {
+				return err
+			}
+			if snap != (snapBuf{}) {
+				return fmt.Errorf("%s frame %d left the scratch frame dirty", site, i)
+			}
+		}
+		d.EndSample()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if expanded == 0 {
+		t.Fatal("no frame was expanded into the scratch frame")
+	}
+	t.Logf("%d of %d frames expanded", expanded, d.Frames())
 }

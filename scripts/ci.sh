@@ -31,7 +31,10 @@
 # artifacts must be byte-identical to the unserved baseline, and a
 # provenance gate: the same campaign run with -provenance serially and
 # under -lanes must write byte-identical causal traces, and pwprof must
-# produce a critical-path report from them.
+# produce a critical-path report from them, and a results gate:
+# `pwexperiments -all -seed 1` must reproduce every committed file in
+# results/ (the experiment CSVs and all_experiments.txt) byte for byte,
+# so a change meant to alter a result must regenerate results/.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -228,3 +231,11 @@ if [ "$rc" -ne 3 ] && [ "$rc" -ne 2 ] && [ "$rc" -ne 0 ]; then
 fi
 "$tmp/pwfsck" "$tmp/doctored"
 echo "pwfsck gate: chaos + doctored damage detected, repaired, re-scrub clean"
+
+# Results gate: regenerate the committed paper results at seed 1 and
+# require every file in results/ to match byte for byte.
+go build -o "$tmp/pwexperiments" ./cmd/pwexperiments
+mkdir -p "$tmp/results"
+"$tmp/pwexperiments" -all -seed 1 -out "$tmp/results" >"$tmp/results/all_experiments.txt"
+diff -r results "$tmp/results"
+echo "results gate: pwexperiments -all -seed 1 reproduces results/ byte for byte"

@@ -110,8 +110,9 @@ func BenchmarkMaterializedFlowDigest(b *testing.B) {
 
 // TestStreamedDigestHeapBudget is the bounded-memory gate bench.sh runs
 // with GOMEMLIMIT pinned: a Fig13-scale streamed digest (the registered
-// experiment digests 3.6M frames; this drives 360k through the same
-// path) must complete with peak HeapAlloc under the budget given in
+// experiment caps its 120 samples at 30,000 frames and digests 1.1-1.4M
+// frames at seeds 1-4; this caps 12 samples the same way) must complete
+// with peak HeapAlloc under the budget given in
 // PW_STREAM_HEAP_BUDGET_MB. Skipped when the variable is unset so plain
 // `go test` runs aren't slowed. The final line prints the measured peak
 // for BENCH_analysis.json.
