@@ -145,7 +145,7 @@ func collectArtifacts(t *testing.T, res *campaign.Result) campaignArtifacts {
 // byte-identical remediation log (the determinism contract).
 func TestChaosSelfHealing(t *testing.T) {
 	spec := selfHealSpec(t, selfHealPlan)
-	res, err := campaign.Run(spec, t.TempDir(), true)
+	res, err := campaign.RunExecLive(spec, t.TempDir(), true, campaign.Exec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestChaosSelfHealing(t *testing.T) {
 
 	// Determinism: a second same-seed campaign must emit byte-identical
 	// remediation and alert logs.
-	res2, err := campaign.Run(spec, t.TempDir(), true)
+	res2, err := campaign.RunExecLive(spec, t.TempDir(), true, campaign.Exec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestChaosCrashResume(t *testing.T) {
 
 	// Baseline: crash points journaled but not honored.
 	baseDir := t.TempDir()
-	base, err := campaign.Run(spec, baseDir, false)
+	base, err := campaign.RunExecLive(spec, baseDir, false, campaign.Exec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestChaosCrashResume(t *testing.T) {
 
 	// The real thing: killed at each crash point, resumed after each.
 	crashDir := t.TempDir()
-	res, err := campaign.Run(spec, crashDir, true)
+	res, err := campaign.RunExecLive(spec, crashDir, true, campaign.Exec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestChaosCrashResume(t *testing.T) {
 			t.Fatal("campaign still crashing after 5 resumes")
 		}
 		t.Logf("crashed at t=%v; resuming", res.CrashedAt)
-		if res, err = campaign.Resume(crashDir, true); err != nil {
+		if res, err = campaign.ResumeExecLive(crashDir, true, campaign.Exec{}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if res.Replayed == 0 {
@@ -273,7 +273,7 @@ func TestChaosCrashResume(t *testing.T) {
 func TestCampaignResumeDetectsDivergence(t *testing.T) {
 	spec := selfHealSpec(t, selfHealPlan)
 	dir := t.TempDir()
-	if _, err := campaign.Run(spec, dir, true); err != nil {
+	if _, err := campaign.RunExecLive(spec, dir, true, campaign.Exec{}, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Doctor the manifest's seed: replay now regenerates different
@@ -294,7 +294,7 @@ func TestCampaignResumeDetectsDivergence(t *testing.T) {
 	if err := os.WriteFile(filepath.Join(dir, journal.ManifestFile), data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := campaign.Resume(dir, true); err == nil {
+	if _, err := campaign.ResumeExecLive(dir, true, campaign.Exec{}, nil); err == nil {
 		t.Fatal("resume with a doctored seed succeeded; want divergence error")
 	} else {
 		t.Logf("divergence correctly detected: %v", err)

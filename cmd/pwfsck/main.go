@@ -30,14 +30,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
-	"strconv"
 
+	"repro/internal/crcline"
 	"repro/internal/flowstore"
 	"repro/internal/pcap"
 )
@@ -116,7 +115,7 @@ type report struct {
 	rel      string // path relative to the campaign dir
 	format   string
 	detail   string
-	scan     lineScan
+	scan     crcline.Extent
 	repaired bool
 	noRepair bool // damage truncation cannot fix (e.g. a corrupt whole-file JSON doc)
 }
@@ -136,18 +135,6 @@ func (r report) status() string {
 	}
 	return "ok"
 }
-
-// lineScan is the shared damage geometry every scrubber reports:
-// where the leading intact run ends, how big the file is, and whether
-// intact data reappears after the damage.
-type lineScan struct {
-	Records int   // intact records/frames/segments in the leading run
-	Good    int64 // byte offset where the leading intact run ends
-	Size    int64
-	MidFile bool // intact frames found after damage
-}
-
-func (s lineScan) Damaged() bool { return s.Good < s.Size }
 
 // scrubDir walks the campaign directory and scrubs every artifact
 // whose format the platform owns. Freeform text (run.log, summary.txt,
@@ -217,91 +204,54 @@ func ringSegment(base string) bool {
 	return ok
 }
 
-// scanLines walks newline-terminated records, validating each line
-// with valid. An unterminated final line is torn by definition — even
-// if its content validates, the writer died before committing the
-// newline, so it is excluded from the intact run (and truncation never
-// extends the file). A valid line reappearing after damage flags
-// mid-file corruption. leading, when non-nil, imposes an extra
-// structural invariant on lines in the leading run only (e.g. WAL
-// sequence contiguity).
-func scanLines(data []byte, valid func(line []byte) bool, leading func(line []byte) bool) lineScan {
-	s := lineScan{Size: int64(len(data))}
-	off, damaged := 0, false
-	for off < len(data) {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break
-		}
-		line := data[off : off+nl]
-		ok := valid(line)
-		switch {
-		case ok && !damaged && (leading == nil || leading(line)):
-			s.Records++
-			s.Good = int64(off + nl + 1)
-		case ok && damaged:
-			s.MidFile = true
-		default:
-			damaged = true
-		}
-		off += nl + 1
+// scanFile streams the file at path through scan, the crcline reader
+// for its format; an open or read error becomes the detail.
+func scanFile(path, unit string, scan func(io.Reader) (crcline.Extent, error)) (crcline.Extent, string) {
+	f, err := os.Open(path)
+	if err != nil {
+		return crcline.Extent{}, err.Error()
 	}
-	return s
+	defer f.Close()
+	s, err := scan(f)
+	if err != nil {
+		return crcline.Extent{}, err.Error()
+	}
+	return s, scanDetail(s, unit)
 }
 
-// validFrame checks the "crc32-hex8 space json" framing shared by the
-// journal WAL, ring segments, and provenance traces.
-func validFrame(line []byte) bool {
-	if len(line) < 10 || line[8] != ' ' {
-		return false
-	}
-	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
-	if err != nil {
-		return false
-	}
-	body := line[9:]
-	return crc32.ChecksumIEEE(body) == uint32(want) && json.Valid(body)
-}
-
-func scrubFramed(path string) (lineScan, string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return lineScan{}, err.Error()
-	}
-	s := scanLines(data, validFrame, nil)
-	return s, scanDetail(s, "frames")
+// scrubFramed scrubs the CRC framing the journal WAL, ring segments and
+// provenance traces share, with a JSON body in every frame.
+func scrubFramed(path string) (crcline.Extent, string) {
+	return scanFile(path, "frames", func(r io.Reader) (crcline.Extent, error) {
+		return crcline.Scan(r, json.Valid)
+	})
 }
 
 // scrubWAL scrubs CRC framing plus the journal's structural invariant:
 // sequence numbers are contiguous from zero. A CRC-valid record whose
 // seq breaks the chain ends the intact run exactly like a bad frame —
 // resume must never replay past a gap.
-func scrubWAL(path string) (lineScan, string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return lineScan{}, err.Error()
-	}
+func scrubWAL(path string) (crcline.Extent, string) {
 	next := uint64(0)
-	s := scanLines(data, validFrame, func(line []byte) bool {
-		var rec struct {
-			Seq uint64 `json:"seq"`
-		}
-		if json.Unmarshal(line[9:], &rec) != nil || rec.Seq != next {
-			return false
-		}
-		next++
-		return true
+	return scanFile(path, "records", func(r io.Reader) (crcline.Extent, error) {
+		return crcline.Scan(r, func(body []byte) bool {
+			var rec struct {
+				Seq uint64 `json:"seq"`
+			}
+			if json.Unmarshal(body, &rec) != nil || rec.Seq != next {
+				return false
+			}
+			next++
+			return true
+		})
 	})
-	return s, scanDetail(s, "records")
 }
 
-func scrubJSONL(path string) (lineScan, string) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return lineScan{}, err.Error()
-	}
-	s := scanLines(data, json.Valid, nil)
-	return s, scanDetail(s, "lines")
+// scrubJSONL scrubs an unframed log: one JSON document per line.
+func scrubJSONL(path string) (crcline.Extent, string) {
+	return scanFile(path, "lines", func(r io.Reader) (crcline.Extent, error) {
+		return crcline.Lines(r, json.Valid, func([]byte) bool { return true })
+	})
 }
 
 func scrubJSON(path string) (bool, string) {
@@ -315,12 +265,12 @@ func scrubJSON(path string) (bool, string) {
 	return true, fmt.Sprintf("%d bytes", len(data))
 }
 
-func scrubFlowstore(path string) (lineScan, string) {
+func scrubFlowstore(path string) (crcline.Extent, string) {
 	rep, err := flowstore.Verify(nil, path)
 	if err != nil {
-		return lineScan{}, err.Error()
+		return crcline.Extent{}, err.Error()
 	}
-	s := lineScan{Records: rep.Segments, Good: rep.Good, Size: rep.Size, MidFile: rep.MidFile}
+	s := crcline.Extent{Records: rep.Segments, Good: rep.Good, Size: rep.Size, MidFile: rep.MidFile}
 	return s, scanDetail(s, "segments")
 }
 
@@ -329,12 +279,12 @@ func scrubFlowstore(path string) (lineScan, string) {
 // first damage can be trusted: a hard decode error (an implausible
 // record length) is classified mid-file, a clean truncation mid-record
 // is a torn tail.
-func scrubPcap(path string) (lineScan, string) {
+func scrubPcap(path string) (crcline.Extent, string) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return lineScan{}, err.Error()
+		return crcline.Extent{}, err.Error()
 	}
-	s := lineScan{Size: int64(len(data))}
+	s := crcline.Extent{Size: int64(len(data))}
 	rd, err := pcap.NewReader(bytes.NewReader(data))
 	if err != nil {
 		s.MidFile = true // a bad magic is never a crash artifact
@@ -363,7 +313,7 @@ func scrubPcap(path string) (lineScan, string) {
 	}
 }
 
-func scanDetail(s lineScan, unit string) string {
+func scanDetail(s crcline.Extent, unit string) string {
 	if !s.Damaged() {
 		return fmt.Sprintf("%d %s, %d bytes", s.Records, unit, s.Size)
 	}

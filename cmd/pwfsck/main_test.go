@@ -11,7 +11,11 @@ import (
 	"testing"
 
 	"repro/internal/flowstore"
+	"repro/internal/journal"
+	"repro/internal/livemon"
 	"repro/internal/pcap"
+	"repro/internal/prof"
+	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -302,5 +306,167 @@ func TestExitCodes(t *testing.T) {
 	}
 	if code := run([]string{"/nonexistent-pwfsck-dir"}, &out, &errOut); code != exitErr {
 		t.Errorf("missing dir: exit %d, want %d", code, exitErr)
+	}
+}
+
+// agreeFormat is one framed artifact written by its real writer and
+// loaded by its real reader.
+type agreeFormat struct {
+	name  string
+	file  string // base name, which picks pwfsck's scrubber
+	write func(t *testing.T, path string)
+	// load returns the frames the reader recovered and, where the
+	// reader reports it, whether it saw damage.
+	load func(t *testing.T, path string) (frames int, torn bool, err error)
+}
+
+var agreeFormats = []agreeFormat{
+	{
+		name: "wal", file: "wal.jsonl",
+		write: func(t *testing.T, path string) {
+			w, err := journal.Create(nil, filepath.Dir(path), []byte(`{}`))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 6; i++ {
+				if _, err := w.Append(sim.Time(i), journal.KindSetup, "STAR", "n"); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		load: func(t *testing.T, path string) (int, bool, error) {
+			recs, err := journal.ReadWAL(filepath.Dir(path))
+			return len(recs), false, err
+		},
+	},
+	{
+		name: "ring", file: "seg-00000000.jsonl",
+		write: func(t *testing.T, path string) {
+			r, err := livemon.OpenRing(nil, filepath.Dir(path), 0, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := 1; i <= 6; i++ {
+				r.Append(livemon.KindAlert, sim.Time(i*100), []byte(`{"rule":"capture-drop-ratio"}`))
+			}
+			if err := r.Close(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		load: func(t *testing.T, path string) (int, bool, error) {
+			r, err := livemon.OpenRing(nil, filepath.Dir(path), 0, 0)
+			if err != nil {
+				return 0, false, err
+			}
+			defer r.Close()
+			return r.Recovered(), false, nil
+		},
+	},
+	{
+		name: "trace", file: "provenance.trace",
+		write: func(t *testing.T, path string) {
+			w, err := prof.CreateTrace(nil, path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.DefTag(1, "STAR")
+			pc := sim.CallbackPC(func() {}, nil)
+			for seq := uint64(1); seq <= 4; seq++ {
+				w.Record(sim.ProvRecord{Seq: seq, Parent: seq - 1, At: sim.Time(seq), PC: pc, Tag: 1})
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+		},
+		load: func(t *testing.T, path string) (int, bool, error) {
+			tr, err := prof.LoadTrace(path)
+			if err != nil {
+				return 0, false, err
+			}
+			return 1 + len(tr.FnNames) + len(tr.TagNames) + len(tr.Events), tr.Torn, nil
+		},
+	},
+}
+
+// lineStarts returns the offset of every line in data.
+func lineStarts(data []byte) []int {
+	starts := []int{0}
+	for i, b := range data[:len(data)-1] {
+		if b == '\n' {
+			starts = append(starts, i+1)
+		}
+	}
+	return starts
+}
+
+// TestReadersAgree: on each framed format, pwfsck's verdict and
+// intact-frame count match what the format's own reader loads, for a
+// clean file and each kind of damage the torn-tail rule names.
+func TestReadersAgree(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		status  string
+		walOnly bool
+		doctor  func(data []byte) []byte
+	}{
+		{"clean", "ok", false, func(d []byte) []byte { return d }},
+		{"unterminated last frame", "TORN", false, func(d []byte) []byte { return d[:len(d)-1] }},
+		{"torn mid-line", "TORN", false, func(d []byte) []byte {
+			s := lineStarts(d)
+			last := s[len(s)-1]
+			return d[:last+(len(d)-last)/2]
+		}},
+		{"flipped byte in a middle frame", "CORRUPT", false, func(d []byte) []byte {
+			s := lineStarts(d)
+			d[s[len(s)/2]+12] ^= 0x01
+			return d
+		}},
+		{"seq gap", "CORRUPT", true, func(d []byte) []byte {
+			s := lineStarts(d)
+			mid := len(s) / 2
+			return append(d[:s[mid]], d[s[mid+1]:]...)
+		}},
+	} {
+		for _, f := range agreeFormats {
+			if tc.walOnly && f.name != "wal" {
+				continue
+			}
+			t.Run(tc.name+"/"+f.name, func(t *testing.T) {
+				path := filepath.Join(t.TempDir(), f.file)
+				f.write(t, path)
+				data, err := os.ReadFile(path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				writeFile(t, path, string(tc.doctor(data)))
+
+				r, ok := scrubFile(path, f.file)
+				if !ok {
+					t.Fatalf("pwfsck does not scrub %s", f.file)
+				}
+				if r.status() != tc.status {
+					t.Fatalf("pwfsck: %s (%s), want %s", r.status(), r.detail, tc.status)
+				}
+				frames, torn, err := f.load(t, path)
+				if tc.walOnly {
+					if err == nil || !strings.Contains(err.Error(), "WAL reordered?") {
+						t.Fatalf("ReadWAL over a seq gap: %v, want its seq error", err)
+					}
+					return
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				if frames != r.scan.Records {
+					t.Errorf("reader loaded %d frames, pwfsck counts %d intact", frames, r.scan.Records)
+				}
+				if f.name == "trace" && torn != r.scan.Damaged() {
+					t.Errorf("LoadTrace torn=%v, pwfsck damaged=%v", torn, r.scan.Damaged())
+				}
+			})
+		}
 	}
 }

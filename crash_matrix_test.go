@@ -61,7 +61,7 @@ func probeCrashPoint(t *testing.T, spec campaign.Spec, base matrixArtifacts, exe
 	dir := t.TempDir()
 	kill := exec
 	kill.CrashArm, kill.CrashAtSeq, kill.CrashAfterCheckpointSwap = true, seq, afterSwap
-	res, err := campaign.RunExec(spec, dir, false, kill)
+	res, err := campaign.RunExecLive(spec, dir, false, kill, nil)
 	if err != nil {
 		t.Fatalf("seq %d afterSwap=%v: %v", seq, afterSwap, err)
 	}
@@ -72,7 +72,7 @@ func probeCrashPoint(t *testing.T, spec campaign.Spec, base matrixArtifacts, exe
 		if resumes > 3 {
 			t.Fatalf("seq %d afterSwap=%v: still crashed after 3 resumes", seq, afterSwap)
 		}
-		if res, err = campaign.ResumeExec(dir, false, exec); err != nil {
+		if res, err = campaign.ResumeExecLive(dir, false, exec, nil); err != nil {
 			t.Fatalf("seq %d afterSwap=%v: resume: %v", seq, afterSwap, err)
 		}
 	}
@@ -100,7 +100,7 @@ func probeCrashPoint(t *testing.T, spec campaign.Spec, base matrixArtifacts, exe
 func crashMatrix(t *testing.T, exec campaign.Exec, stride int) {
 	spec := matrixSpec()
 	baseDir := t.TempDir()
-	baseRes, err := campaign.RunExec(spec, baseDir, false, exec)
+	baseRes, err := campaign.RunExecLive(spec, baseDir, false, exec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -283,27 +283,14 @@ var defaultTraceCounters = []string{
 	"capture_frames_dropped_total",
 }
 
-// Run starts a fresh campaign in dir (which must not already hold
-// one). When kill is true, injected crash points abort the run —
+// RunExecLive starts a fresh campaign in dir (which must not already
+// hold one). When kill is true, injected crash points abort the run —
 // Result.Crashed reports the abort; resume the directory to continue.
 // When kill is false, crash points are journaled but not honored: the
 // uninterrupted baseline whose outputs a kill+resume pair must match.
-func Run(spec Spec, dir string, kill bool) (*Result, error) {
-	return RunExecLive(spec, dir, kill, Exec{}, nil)
-}
-
-// RunLive is Run with an optional live telemetry sink.
-func RunLive(spec Spec, dir string, kill bool, live LiveSink) (*Result, error) {
-	return RunExecLive(spec, dir, kill, Exec{}, live)
-}
-
-// RunExec is Run under an explicit execution strategy.
-func RunExec(spec Spec, dir string, kill bool, exec Exec) (*Result, error) {
-	return RunExecLive(spec, dir, kill, exec, nil)
-}
-
-// RunExecLive is Run with an execution strategy and an optional live
-// telemetry sink.
+// exec selects the execution strategy (the zero Exec is the serial
+// kernel on the real disk); live, when non-nil, is the live telemetry
+// sink.
 func RunExecLive(spec Spec, dir string, kill bool, exec Exec, live LiveSink) (*Result, error) {
 	spec = spec.WithDefaults()
 	if err := spec.Validate(); err != nil {
@@ -313,38 +300,22 @@ func RunExecLive(spec Spec, dir string, kill bool, exec Exec, live LiveSink) (*R
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)
 	}
-	w, err := journal.CreateFS(exec.FS, dir, manifest)
+	w, err := journal.Create(exec.FS, dir, manifest)
 	if err != nil {
 		return nil, err
 	}
 	return run(spec, w, dir, kill, live, exec)
 }
 
-// Resume reopens the campaign journaled in dir, rebuilds the world from
-// its manifest, replays the WAL prefix (verifying every regenerated
-// record), and continues where the dead campaign stopped. Crash points
-// already in the WAL are skipped; new ones abort again when kill is
-// true.
-func Resume(dir string, kill bool) (*Result, error) {
-	return ResumeExecLive(dir, kill, Exec{}, nil)
-}
-
-// ResumeLive is Resume with an optional live telemetry sink.
-func ResumeLive(dir string, kill bool, live LiveSink) (*Result, error) {
-	return ResumeExecLive(dir, kill, Exec{}, live)
-}
-
-// ResumeExec is Resume under an explicit execution strategy. The
-// strategy need not match the one the campaign crashed under: the WAL
-// replay verifies the regenerated prefix either way.
-func ResumeExec(dir string, kill bool, exec Exec) (*Result, error) {
-	return ResumeExecLive(dir, kill, exec, nil)
-}
-
-// ResumeExecLive is Resume with an execution strategy and an optional
-// live telemetry sink.
+// ResumeExecLive reopens the campaign journaled in dir, rebuilds the
+// world from its manifest, replays the WAL prefix (verifying every
+// regenerated record), and continues where the dead campaign stopped.
+// Crash points already in the WAL are skipped; new ones abort again
+// when kill is true. exec need not match the strategy the campaign
+// crashed under: the WAL replay verifies the regenerated prefix either
+// way. live, when non-nil, is the live telemetry sink.
 func ResumeExecLive(dir string, kill bool, exec Exec, live LiveSink) (*Result, error) {
-	w, manifest, _, _, err := journal.OpenResumeFS(exec.FS, dir)
+	w, manifest, _, _, err := journal.OpenResume(exec.FS, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -466,7 +437,7 @@ func run(spec Spec, w *journal.Writer, dir string, kill bool, live LiveSink, exe
 	// covers setup events too.
 	var pw *prof.Writer
 	if exec.ProvenancePath != "" {
-		if pw, err = prof.CreateTraceFS(exec.FS, exec.ProvenancePath); err != nil {
+		if pw, err = prof.CreateTrace(exec.FS, exec.ProvenancePath); err != nil {
 			return nil, err
 		}
 		defer pw.Close()

@@ -50,14 +50,14 @@ func TestLiveSinkDoesNotPerturbArtifacts(t *testing.T) {
 	spec := smallSpec()
 
 	plainDir := t.TempDir()
-	plain, err := Run(spec, plainDir, true)
+	plain, err := RunExecLive(spec, plainDir, true, Exec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	servedDir := t.TempDir()
 	live := liveServer(t, t.TempDir())
-	served, err := RunLive(spec, servedDir, true, live)
+	served, err := RunExecLive(spec, servedDir, true, Exec{}, live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,13 +93,13 @@ func TestLiveCrashResumeRecoversRing(t *testing.T) {
 	spec.Faults = &faults.Plan{CrashPoints: []faults.CrashPoint{{AtSec: 6}}}
 
 	baseDir := t.TempDir()
-	if _, err := Run(spec, baseDir, false); err != nil { // no-kill baseline
+	if _, err := RunExecLive(spec, baseDir, false, Exec{}, nil); err != nil { // no-kill baseline
 		t.Fatal(err)
 	}
 
 	crashDir, ringDir := t.TempDir(), t.TempDir()
 	live := liveServer(t, ringDir)
-	res, err := RunLive(spec, crashDir, true, live)
+	res, err := RunExecLive(spec, crashDir, true, Exec{}, live)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestLiveCrashResumeRecoversRing(t *testing.T) {
 	if live2.RingRef().Recovered() == 0 {
 		t.Fatal("reopened ring recovered nothing")
 	}
-	res2, err := ResumeLive(crashDir, true, live2)
+	res2, err := ResumeExecLive(crashDir, true, Exec{}, live2)
 	if err != nil {
 		t.Fatal(err)
 	}

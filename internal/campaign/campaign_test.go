@@ -63,7 +63,7 @@ func smallSpec() Spec {
 
 func TestRunJournalsCampaign(t *testing.T) {
 	dir := t.TempDir()
-	res, err := Run(smallSpec(), dir, true)
+	res, err := RunExecLive(smallSpec(), dir, true, Exec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,10 +97,10 @@ func TestRunJournalsCampaign(t *testing.T) {
 
 func TestRunRefusesOccupiedDir(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := Run(smallSpec(), dir, true); err != nil {
+	if _, err := RunExecLive(smallSpec(), dir, true, Exec{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	_, err := Run(smallSpec(), dir, true)
+	_, err := RunExecLive(smallSpec(), dir, true, Exec{}, nil)
 	if err == nil || !strings.Contains(err.Error(), "resume") {
 		t.Errorf("second Run in the same dir: err = %v, want refusal pointing at resume", err)
 	}
@@ -108,13 +108,13 @@ func TestRunRefusesOccupiedDir(t *testing.T) {
 
 func TestResumeOfFinishedCampaignReplaysClean(t *testing.T) {
 	dir := t.TempDir()
-	first, err := Run(smallSpec(), dir, true)
+	first, err := RunExecLive(smallSpec(), dir, true, Exec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Resuming a campaign that already finished replays the whole WAL,
 	// verifies it, and lands in the same final state.
-	again, err := Resume(dir, true)
+	again, err := ResumeExecLive(dir, true, Exec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,10 +127,10 @@ func TestResumeOfFinishedCampaignReplaysClean(t *testing.T) {
 }
 
 // TestRunLeavesNoGoroutines: harvest compresses pcaps on worker
-// goroutines, and none outlives RunExec. Both sites harvest (at 5 s and
-// 6 s) and deliver their bundles 10 s later; the killed run stops at a
-// crash point just after the second harvest, so only the run's own join
-// covers streams that are still being compressed.
+// goroutines, and none outlives RunExecLive. Both sites harvest (at 5 s
+// and 6 s) and deliver their bundles 10 s later; the killed run stops at
+// a crash point just after the second harvest, so only the run's own
+// join covers streams that are still being compressed.
 func TestRunLeavesNoGoroutines(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
@@ -143,7 +143,7 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 				spec.Faults = &faults.Plan{CrashPoints: []faults.CrashPoint{{AtSec: tc.crashAt}}}
 			}
 			start := runtime.NumGoroutine()
-			res, err := RunExec(spec, t.TempDir(), true, Exec{})
+			res, err := RunExecLive(spec, t.TempDir(), true, Exec{}, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,10 +153,10 @@ func TestRunLeavesNoGoroutines(t *testing.T) {
 			buf := make([]byte, 1<<20)
 			stacks := string(buf[:runtime.Stack(buf, true)])
 			if strings.Contains(stacks, "core.compressPcap") {
-				t.Errorf("a pcap is still being compressed after RunExec returned:\n%s", stacks)
+				t.Errorf("a pcap is still being compressed after RunExecLive returned:\n%s", stacks)
 			}
 			if strings.Contains(stacks, "core.(*TrafficDriver).build") {
-				t.Errorf("a traffic window is still being built after RunExec returned:\n%s", stacks)
+				t.Errorf("a traffic window is still being built after RunExecLive returned:\n%s", stacks)
 			}
 			deadline := time.Now().Add(5 * time.Second)
 			for runtime.NumGoroutine() > start {

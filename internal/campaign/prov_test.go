@@ -27,21 +27,21 @@ func TestProvenanceDeterministicAcrossLanes(t *testing.T) {
 	spec := smallSpec()
 	spec.FederationSites = 3
 
-	base, err := RunExec(spec, t.TempDir(), true, Exec{})
+	base, err := RunExecLive(spec, t.TempDir(), true, Exec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	baseProm := promDump(t, base)
 
 	serialPath := filepath.Join(t.TempDir(), "serial.trace")
-	serial, err := RunExec(spec, t.TempDir(), true, Exec{ProvenancePath: serialPath})
+	serial, err := RunExecLive(spec, t.TempDir(), true, Exec{ProvenancePath: serialPath}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lanedPath := filepath.Join(t.TempDir(), "laned.trace")
-	laned, err := RunExec(spec, t.TempDir(), true, Exec{
+	laned, err := RunExecLive(spec, t.TempDir(), true, Exec{
 		Lanes: 2, Workers: 2, ProvenancePath: lanedPath,
-	})
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,11 +98,11 @@ func TestProfileExec(t *testing.T) {
 	spec := smallSpec()
 	spec.FederationSites = 3
 
-	base, err := RunExec(spec, t.TempDir(), true, Exec{})
+	base, err := RunExecLive(spec, t.TempDir(), true, Exec{}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunExec(spec, t.TempDir(), true, Exec{Lanes: 2, Workers: 2, Profile: true})
+	res, err := RunExecLive(spec, t.TempDir(), true, Exec{Lanes: 2, Workers: 2, Profile: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestProfileExec(t *testing.T) {
 	}
 
 	// Serial execution has no lane scheduler to profile.
-	serial, err := RunExec(spec, t.TempDir(), true, Exec{Profile: true})
+	serial, err := RunExecLive(spec, t.TempDir(), true, Exec{Profile: true}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ import (
 
 func mustCreate(t *testing.T, dir string) *Writer {
 	t.Helper()
-	w, err := Create(dir, []byte(`{"spec":1}`))
+	w, err := Create(nil, dir, []byte(`{"spec":1}`))
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestCreateRefusesExistingWAL(t *testing.T) {
 	dir := t.TempDir()
 	w := mustCreate(t, dir)
 	w.Close()
-	if _, err := Create(dir, nil); err == nil {
+	if _, err := Create(nil, dir, nil); err == nil {
 		t.Fatal("second Create should refuse an existing WAL")
 	}
 }
@@ -84,7 +84,7 @@ func TestTornTailTruncated(t *testing.T) {
 	}
 
 	// Resume must truncate the tail so new appends frame cleanly.
-	w2, manifest, _, hasCP, err := OpenResume(dir)
+	w2, manifest, _, hasCP, err := OpenResume(nil, dir)
 	if err != nil {
 		t.Fatalf("OpenResume: %v", err)
 	}
@@ -127,7 +127,7 @@ func TestReplayDivergenceDetected(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Close()
-	w2, _, _, _, err := OpenResume(dir)
+	w2, _, _, _, err := OpenResume(nil, dir)
 	if err != nil {
 		t.Fatalf("OpenResume: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestCheckpointRoundTripAndVerify(t *testing.T) {
 	}
 	w.Close()
 
-	w2, _, stored, hasCP, err := OpenResume(dir)
+	w2, _, stored, hasCP, err := OpenResume(nil, dir)
 	if err != nil {
 		t.Fatalf("OpenResume: %v", err)
 	}
@@ -183,7 +183,7 @@ func TestCheckpointRoundTripAndVerify(t *testing.T) {
 		t.Fatal(err)
 	}
 	wa.Close()
-	wb, _, _, _, err := OpenResume(dir2)
+	wb, _, _, _, err := OpenResume(nil, dir2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -119,7 +119,7 @@ func New(cfg Config) (*Server, error) {
 	if cfg.SSEBuffer <= 0 {
 		cfg.SSEBuffer = 64
 	}
-	ring, err := OpenRingFS(cfg.FS, cfg.Dir, cfg.RingSegmentBytes, cfg.RingMaxSegments)
+	ring, err := OpenRing(cfg.FS, cfg.Dir, cfg.RingSegmentBytes, cfg.RingMaxSegments)
 	if err != nil {
 		return nil, err
 	}

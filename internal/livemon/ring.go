@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sort"
@@ -14,6 +13,7 @@ import (
 	"strings"
 	"syscall"
 
+	"repro/internal/crcline"
 	"repro/internal/sim"
 	"repro/internal/storefault"
 )
@@ -40,7 +40,7 @@ const (
 )
 
 // Ring is a bounded append-only record log: rotated segment files on
-// disk (CRC-framed lines, torn-tail tolerant like internal/journal)
+// disk (internal/crcline lines, torn-tail tolerant like internal/journal)
 // mirrored by an in-memory copy that queries and SSE replay read from.
 // It is not internally synchronized — the owning Server serializes all
 // access under its own lock.
@@ -48,7 +48,7 @@ const (
 // On-disk layout under the ring directory:
 //
 //	seg-00000000.jsonl   oldest retained segment
-//	seg-00000007.jsonl   active segment, one "crc32c-hex8 json" per line
+//	seg-00000007.jsonl   active segment, one framed JSON record per line
 //
 // When the active segment exceeds the byte budget a new one starts; the
 // oldest is deleted once the segment count exceeds the cap. A torn
@@ -80,8 +80,7 @@ type Ring struct {
 
 type memRec struct {
 	Record
-	seg  int
-	size int64
+	seg int
 }
 
 const (
@@ -89,16 +88,11 @@ const (
 	defaultMaxSegments  = 8
 )
 
-// OpenRing opens (or creates) a ring in dir. An empty dir keeps the
-// ring purely in memory with the same retention bounds. segBytes and
-// maxSegs of zero take the defaults (1 MiB × 8 segments).
-func OpenRing(dir string, segBytes int64, maxSegs int) (*Ring, error) {
-	return OpenRingFS(nil, dir, segBytes, maxSegs)
-}
-
-// OpenRingFS is OpenRing through an explicit filesystem seam (nil means
-// the real disk) — the storage-chaos injection point.
-func OpenRingFS(fsys storefault.FS, dir string, segBytes int64, maxSegs int) (*Ring, error) {
+// OpenRing opens (or creates) a ring in dir through fsys, the
+// storage-chaos injection point (nil means the real disk). An empty dir
+// keeps the ring purely in memory with the same retention bounds.
+// segBytes and maxSegs of zero take the defaults (1 MiB × 8 segments).
+func OpenRing(fsys storefault.FS, dir string, segBytes int64, maxSegs int) (*Ring, error) {
 	if segBytes <= 0 {
 		segBytes = defaultSegmentBytes
 	}
@@ -176,33 +170,29 @@ func (r *Ring) loadSegment(idx int, truncate bool) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("livemon: ring: %w", err)
 	}
-	var keep int64
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // unterminated final line: torn write
+	// A bytes.Reader never fails, so Scan's error is always nil. The
+	// first torn or corrupt line ends the run: it and everything after
+	// it are dropped.
+	ext, _ := crcline.Scan(bytes.NewReader(data), func(body []byte) bool {
+		var rec Record
+		if json.Unmarshal(body, &rec) != nil {
+			return false
 		}
-		rec, ok := parseFrame(string(data[off : off+nl]))
-		if !ok {
-			break // torn or corrupt: drop this line and everything after
-		}
-		size := int64(nl) + 1
-		r.recs = append(r.recs, memRec{Record: rec, seg: idx, size: size})
-		keep += size
-		off += nl + 1
+		r.recs = append(r.recs, memRec{Record: rec, seg: idx})
 		if rec.Seq >= r.next {
 			r.next = rec.Seq + 1
 		}
 		if rec.SimNs > r.recoveredSimNs {
 			r.recoveredSimNs = rec.SimNs
 		}
-	}
-	if truncate && keep < int64(len(data)) {
-		if err := r.fs.Truncate(path, keep); err != nil {
+		return true
+	})
+	if truncate && ext.Damaged() {
+		if err := r.fs.Truncate(path, ext.Good); err != nil {
 			return 0, fmt.Errorf("livemon: ring: truncating torn tail: %w", err)
 		}
 	}
-	return keep, nil
+	return ext.Good, nil
 }
 
 // openActive opens the newest segment for appending.
@@ -217,26 +207,6 @@ func (r *Ring) openActive() error {
 	}
 	r.f, r.bw = f, bufio.NewWriter(f)
 	return nil
-}
-
-// parseFrame validates one "crc8hex json" line.
-func parseFrame(line string) (Record, bool) {
-	frame, rest, found := strings.Cut(line, " ")
-	if !found || len(frame) != 8 {
-		return Record{}, false
-	}
-	want, err := strconv.ParseUint(frame, 16, 32)
-	if err != nil {
-		return Record{}, false
-	}
-	if crc32.ChecksumIEEE([]byte(rest)) != uint32(want) {
-		return Record{}, false
-	}
-	var rec Record
-	if err := json.Unmarshal([]byte(rest), &rec); err != nil {
-		return Record{}, false
-	}
-	return rec, true
 }
 
 // Append stores one record and returns its sequence number. stored is
@@ -254,12 +224,11 @@ func (r *Ring) Append(kind string, at sim.Time, data []byte) (seq uint64, stored
 		r.fail(err)
 		return 0, false
 	}
-	line := fmt.Sprintf("%08x %s\n", crc32.ChecksumIEEE(encoded), encoded)
-	size := int64(len(line))
+	line := crcline.Append(nil, encoded)
 	r.appendLine(line)
-	r.recs = append(r.recs, memRec{Record: rec, seg: r.segIdx, size: size})
+	r.recs = append(r.recs, memRec{Record: rec, seg: r.segIdx})
 	r.next++
-	r.segSize += size
+	r.segSize += int64(len(line))
 	if r.segSize >= r.segBytes {
 		r.rotate()
 	}
@@ -270,7 +239,7 @@ func (r *Ring) Append(kind string, at sim.Time, data []byte) (seq uint64, stored
 // volume (ENOSPC) triggers the degradation path: retained history is
 // pruned aggressively to free space and the write retried once from the
 // committed offset; only a second failure (or any other error) latches.
-func (r *Ring) appendLine(line string) {
+func (r *Ring) appendLine(line []byte) {
 	if r.bw == nil {
 		return
 	}
@@ -299,8 +268,8 @@ func (r *Ring) appendLine(line string) {
 	}
 }
 
-func (r *Ring) writeFlush(line string) error {
-	if _, err := r.bw.WriteString(line); err != nil {
+func (r *Ring) writeFlush(line []byte) error {
+	if _, err := r.bw.Write(line); err != nil {
 		return err
 	}
 	return r.bw.Flush()

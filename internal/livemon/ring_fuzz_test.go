@@ -18,7 +18,7 @@ import (
 func FuzzRingSegment(f *testing.F) {
 	// Seed corpus from a real segment written by the ring itself.
 	seedDir := f.TempDir()
-	r, err := OpenRing(seedDir, 0, 0)
+	r, err := OpenRing(nil, seedDir, 0, 0)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func FuzzRingSegment(f *testing.F) {
 		if err := os.WriteFile(filepath.Join(dir, "seg-00000000.jsonl"), data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		r1, err := OpenRing(dir, 0, 0)
+		r1, err := OpenRing(nil, dir, 0, 0)
 		if err != nil {
 			t.Skip() // I/O-level failure, not a codec property
 		}
@@ -65,7 +65,7 @@ func FuzzRingSegment(f *testing.F) {
 		}
 
 		// Idempotent recovery: the torn tail is gone now.
-		r2, err := OpenRing(dir, 0, 0)
+		r2, err := OpenRing(nil, dir, 0, 0)
 		if err != nil {
 			t.Fatalf("second open: %v", err)
 		}
@@ -78,7 +78,7 @@ func FuzzRingSegment(f *testing.F) {
 		if err := r2.Close(); err != nil {
 			t.Fatalf("close after append: %v", err)
 		}
-		r3, err := OpenRing(dir, 0, 0)
+		r3, err := OpenRing(nil, dir, 0, 0)
 		if err != nil {
 			t.Fatalf("third open: %v", err)
 		}
@@ -107,7 +107,7 @@ func TestRingENOSPCPrunesAndRetries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := OpenRingFS(chaos, dir, 256, 8) // tiny segments force rotation
+	r, err := OpenRing(chaos, dir, 256, 8) // tiny segments force rotation
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestRingENOSPCPrunesAndRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Everything still on disk must recover cleanly.
-	r2, err := OpenRing(dir, 256, 8)
+	r2, err := OpenRing(nil, dir, 256, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,7 +9,7 @@ import (
 )
 
 func TestRingSequenceAndEvents(t *testing.T) {
-	r, err := OpenRing("", 0, 0)
+	r, err := OpenRing(nil, "", 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestRingSequenceAndEvents(t *testing.T) {
 
 func TestRingTornTailRecovery(t *testing.T) {
 	dir := t.TempDir()
-	r, err := OpenRing(dir, 0, 0)
+	r, err := OpenRing(nil, dir, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestRingTornTailRecovery(t *testing.T) {
 	f.Close()
 	before, _ := os.Stat(seg)
 
-	r2, err := OpenRing(dir, 0, 0)
+	r2, err := OpenRing(nil, dir, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestRingTornTailRecovery(t *testing.T) {
 
 func TestRingRotationAndPruning(t *testing.T) {
 	dir := t.TempDir()
-	r, err := OpenRing(dir, 128, 2)
+	r, err := OpenRing(nil, dir, 128, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestRingRotationAndPruning(t *testing.T) {
 	if err := r.Close(); err != nil {
 		t.Fatal(err)
 	}
-	r2, err := OpenRing(dir, 128, 2)
+	r2, err := OpenRing(nil, dir, 128, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestRingRotationAndPruning(t *testing.T) {
 }
 
 func TestRingMemoryOnlyBounds(t *testing.T) {
-	r, err := OpenRing("", 64, 2)
+	r, err := OpenRing(nil, "", 64, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

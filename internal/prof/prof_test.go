@@ -21,7 +21,7 @@ func writeSampleTrace(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
 	path := filepath.Join(dir, "provenance.trace")
-	w, err := CreateTrace(path)
+	w, err := CreateTrace(nil, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,6 +110,56 @@ func TestTornTail(t *testing.T) {
 	}
 	if len(tr.Events) != 5 {
 		t.Errorf("intact prefix lost: %d events, want 5", len(tr.Events))
+	}
+}
+
+// TestUnterminatedFinalFrameIsTorn: a last frame missing its newline is
+// torn even though its checksum validates, as pwfsck and every other
+// reader of the framing count it; pwfsck -repair deletes it.
+func TestUnterminatedFinalFrameIsTorn(t *testing.T) {
+	path := writeSampleTrace(t)
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, st.Size()-1); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := LoadTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Events) != 4 || !tr.Torn {
+		t.Errorf("loaded %d events (torn=%v), want 4 and torn", len(tr.Events), tr.Torn)
+	}
+}
+
+// TestOverLongFrame: no frame is too long to load. A 2 MiB tag name
+// sits ahead of the events and must not hide them.
+func TestOverLongFrame(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "provenance.trace")
+	w, err := CreateTrace(nil, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := strings.Repeat("s", 2<<20)
+	w.DefTag(1, name)
+	pc := sim.CallbackPC(fnAlpha, nil)
+	for seq := uint64(1); seq <= 3; seq++ {
+		w.Record(sim.ProvRecord{Seq: seq, Parent: sim.NoProvParent, At: sim.Time(seq), PC: pc, Tag: 1})
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tr, err := LoadTrace(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Events) != 3 || tr.Torn {
+		t.Fatalf("loaded %d events (torn=%v), want 3 clean", len(tr.Events), tr.Torn)
+	}
+	if tr.TagName(1) != name {
+		t.Errorf("tag name %d bytes, want %d", len(tr.TagName(1)), len(name))
 	}
 }
 

@@ -1,14 +1,12 @@
 package prof
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"sort"
-	"strconv"
 
+	"repro/internal/crcline"
 	"repro/internal/sim"
 )
 
@@ -47,22 +45,6 @@ type lineRec struct {
 	G      int32  `json:"g"`
 }
 
-// parseFrame validates one CRC-framed line and unmarshals its body.
-func parseFrame(line []byte, rec *lineRec) bool {
-	if len(line) < 10 || line[8] != ' ' {
-		return false
-	}
-	want, err := strconv.ParseUint(string(line[:8]), 16, 32)
-	if err != nil {
-		return false
-	}
-	body := line[9:]
-	if crc32.ChecksumIEEE(body) != uint32(want) {
-		return false
-	}
-	return json.Unmarshal(body, rec) == nil
-}
-
 // LoadTrace reads a provenance trace, tolerating a torn tail.
 func LoadTrace(path string) (*Trace, error) {
 	f, err := os.Open(path)
@@ -72,27 +54,27 @@ func LoadTrace(path string) (*Trace, error) {
 	defer f.Close()
 
 	t := &Trace{TagNames: make(map[int32]string), bySeq: make(map[uint64]int)}
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<16), 1<<20)
-	first := true
-	for sc.Scan() {
-		var rec lineRec
-		if !parseFrame(sc.Bytes(), &rec) {
-			if first {
-				return nil, fmt.Errorf("prof: %s: not a provenance trace", path)
-			}
-			t.Torn = true
-			break
+	var (
+		rec    lineRec
+		header bool  // the header frame was read
+		herr   error // the header names another format or version
+	)
+	ext, err := crcline.Scan(f, func(body []byte) bool {
+		rec = lineRec{}
+		if json.Unmarshal(body, &rec) != nil {
+			return false
 		}
-		if first {
-			if rec.K != "hdr" || rec.Format != TraceFormat {
-				return nil, fmt.Errorf("prof: %s: not a provenance trace (header %q)", path, rec.Format)
+		if !header {
+			switch {
+			case rec.K != "hdr" || rec.Format != TraceFormat:
+				herr = fmt.Errorf("prof: %s: not a provenance trace (header %q)", path, rec.Format)
+				return false
+			case rec.V != TraceVersion:
+				herr = fmt.Errorf("prof: %s: unsupported trace version %d", path, rec.V)
+				return false
 			}
-			if rec.V != TraceVersion {
-				return nil, fmt.Errorf("prof: %s: unsupported trace version %d", path, rec.V)
-			}
-			first = false
-			continue
+			header = true
+			return true
 		}
 		switch rec.K {
 		case "fn":
@@ -109,13 +91,19 @@ func LoadTrace(path string) (*Trace, error) {
 				Fn: rec.F, Tag: rec.G,
 			})
 		}
-	}
-	if first {
-		if err := sc.Err(); err != nil {
-			return nil, fmt.Errorf("prof: %w", err)
-		}
+		return true
+	})
+	switch {
+	case err != nil:
+		return nil, fmt.Errorf("prof: %w", err)
+	case herr != nil:
+		return nil, herr
+	case !header && ext.Size == 0:
 		return nil, fmt.Errorf("prof: %s: empty trace", path)
+	case !header:
+		return nil, fmt.Errorf("prof: %s: not a provenance trace", path)
 	}
+	t.Torn = ext.Damaged()
 	return t, nil
 }
 

@@ -10,22 +10,22 @@
 // persisted — function names are interned into numbered definitions at
 // write time, so the bytes are stable across processes.
 //
-// Framing reuses the internal/journal idiom: every line is
-// "%08x %s\n" — the IEEE CRC32 of the JSON body, a space, the body.
-// Readers stop at the first damaged line (torn tail after a crash).
+// Frames are internal/crcline lines, the journal's framing: the IEEE
+// CRC32 of the JSON body in hex, a space, the body. Readers stop at the
+// first damaged line (torn tail after a crash).
 package prof
 
 import (
 	"bufio"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"path/filepath"
 	"runtime"
 	"strconv"
 	"sync"
 
+	"repro/internal/crcline"
 	"repro/internal/sim"
 	"repro/internal/storefault"
 )
@@ -53,15 +53,10 @@ type Writer struct {
 	err    error
 }
 
-// CreateTrace creates (truncating) a provenance trace file, parent
-// directories included, and writes the header frame.
-func CreateTrace(path string) (*Writer, error) {
-	return CreateTraceFS(nil, path)
-}
-
-// CreateTraceFS is CreateTrace through an explicit filesystem seam (nil
-// means the real disk) — the storage-chaos injection point.
-func CreateTraceFS(fsys storefault.FS, path string) (*Writer, error) {
+// CreateTrace creates (truncating) a provenance trace file through
+// fsys, the storage-chaos injection point (nil means the real disk),
+// parent directories included, and writes the header frame.
+func CreateTrace(fsys storefault.FS, path string) (*Writer, error) {
 	fsys = storefault.Or(fsys)
 	if err := fsys.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return nil, fmt.Errorf("prof: %w", err)
@@ -89,15 +84,7 @@ func (w *Writer) emit(body []byte) {
 	if w.err != nil {
 		return
 	}
-	crc := crc32.ChecksumIEEE(body)
-	const hexdigits = "0123456789abcdef"
-	w.line = w.line[:0]
-	for shift := 28; shift >= 0; shift -= 4 {
-		w.line = append(w.line, hexdigits[(crc>>uint(shift))&0xf])
-	}
-	w.line = append(w.line, ' ')
-	w.line = append(w.line, body...)
-	w.line = append(w.line, '\n')
+	w.line = crcline.Append(w.line[:0], body)
 	if _, err := w.bw.Write(w.line); err != nil {
 		w.err = err
 	}

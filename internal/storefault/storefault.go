@@ -28,7 +28,9 @@ type File interface {
 	io.Writer
 	io.Seeker
 	io.Closer
-	// WriteString writes a string (the WAL's line-framing path).
+	// WriteString writes a string. The platform's writers all use
+	// Write; wrappers that forward both, like pwbench's timing seam,
+	// still call it.
 	WriteString(s string) (int, error)
 	// Truncate cuts the file to size (torn-tail repair on open).
 	Truncate(size int64) error

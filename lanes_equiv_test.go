@@ -69,7 +69,7 @@ func lanedSpec(t *testing.T, hostile bool) campaign.Spec {
 func runLanedCampaign(t *testing.T, spec campaign.Spec, exec campaign.Exec) lanedArtifacts {
 	t.Helper()
 	dir := t.TempDir()
-	res, err := campaign.RunExec(spec, dir, false, exec)
+	res, err := campaign.RunExecLive(spec, dir, false, exec, nil)
 	if err != nil {
 		t.Fatalf("campaign (lanes=%d workers=%d): %v", exec.Lanes, exec.Workers, err)
 	}
@@ -187,7 +187,7 @@ func TestLanedCampaignCrashResume(t *testing.T) {
 
 	exec := campaign.Exec{Lanes: 3, Workers: 4}
 	dir := t.TempDir()
-	res, err := campaign.RunExec(spec, dir, true, exec)
+	res, err := campaign.RunExecLive(spec, dir, true, exec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestLanedCampaignCrashResume(t *testing.T) {
 	}
 	// Resume under a DIFFERENT worker count: the journal must not care
 	// how the dead campaign was sharded.
-	res, err = campaign.ResumeExec(dir, true, campaign.Exec{Lanes: 3, Workers: 2})
+	res, err = campaign.ResumeExecLive(dir, true, campaign.Exec{Lanes: 3, Workers: 2}, nil)
 	if err != nil {
 		t.Fatalf("laned resume: %v", err)
 	}

@@ -7,8 +7,9 @@
 # fails if benchmark code no longer compiles, a short fuzz smoke over
 # the wire-format parsers (seed corpus plus a few seconds of mutation —
 # enough to catch regressions in the option/length walkers — plus the
-# flow-store segment codec, the sketch merge operators and the sim
-# kernel's FIFO-stream-vs-AtArg differential), a
+# flow-store segment codec, the sketch merge operators, the sim
+# kernel's FIFO-stream-vs-AtArg differential, and the crcline frame
+# codec shared by the WAL, the ring and provenance traces), a
 # harvest scheduling gate (bundles compressed on worker goroutines must
 # be byte-identical at GOMAXPROCS 1 and 4, repeated under the race
 # detector), a window prefetch gate (traffic windows built one ahead on
@@ -59,6 +60,7 @@ go test -run='^$' -fuzz='^FuzzLanePartition$' -fuzztime=5s ./internal/lanes
 go test -run='^$' -fuzz='^FuzzSegmentCodec$' -fuzztime=5s ./internal/flowstore
 go test -run='^$' -fuzz='^FuzzSketchMerge$' -fuzztime=5s ./internal/sketch
 go test -run='^$' -fuzz='^FuzzRingSegment$' -fuzztime=5s ./internal/livemon
+go test -run='^$' -fuzz='^FuzzScan$' -fuzztime=5s ./internal/crcline
 go test -run='^$' -fuzz='^FuzzFIFOMatchesAtArg$' -fuzztime=5s ./internal/sim
 
 # Harvest scheduling gate: pcaps are compressed off the simulation

@@ -49,7 +49,7 @@ func runHostile(t *testing.T, seed uint64, dir string) (*campaign.Result, *store
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := campaign.RunExec(storeChaosSpec(), dir, false, campaign.Exec{FS: chaos})
+	res, err := campaign.RunExecLive(storeChaosSpec(), dir, false, campaign.Exec{FS: chaos}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
