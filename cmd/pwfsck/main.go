@@ -117,7 +117,7 @@ type report struct {
 	detail   string
 	scan     crcline.Extent
 	repaired bool
-	noRepair bool // damage truncation cannot fix (e.g. a corrupt whole-file JSON doc)
+	noRepair bool // damage truncation cannot fix: a corrupt whole-file JSON doc, or an artifact that cannot be read
 }
 
 func (r report) damaged() bool { return r.scan.Damaged() || r.noRepair }
@@ -165,36 +165,40 @@ func scrubDir(root string, repair bool) ([]report, error) {
 }
 
 // scrubFile dispatches one file to its format scrubber. checked is
-// false for files pwfsck does not understand.
+// false for files pwfsck does not understand. An artifact its scrubber
+// cannot open, read or verify is unrepairable damage: nothing vouches
+// for its contents, and there is no intact prefix to truncate to.
 func scrubFile(path, rel string) (report, bool) {
 	base := filepath.Base(path)
 	r := report{rel: rel}
+	var err error
 	switch {
 	case base == "wal.jsonl":
 		r.format = "wal"
-		r.scan, r.detail = scrubWAL(path)
+		r.scan, r.detail, err = scrubWAL(path)
 	case base == "provenance.trace" || filepath.Ext(base) == ".trace":
 		r.format = "trace"
-		r.scan, r.detail = scrubFramed(path)
+		r.scan, r.detail, err = scrubFramed(path)
 	case ringSegment(base):
 		r.format = "ring"
-		r.scan, r.detail = scrubFramed(path)
+		r.scan, r.detail, err = scrubFramed(path)
 	case filepath.Ext(base) == ".pwfs":
 		r.format = "flowstore"
-		r.scan, r.detail = scrubFlowstore(path)
+		r.scan, r.detail, err = scrubFlowstore(path)
 	case filepath.Ext(base) == ".pcap":
 		r.format = "pcap"
-		r.scan, r.detail = scrubPcap(path)
+		r.scan, r.detail, err = scrubPcap(path)
 	case filepath.Ext(base) == ".json":
 		r.format = "json"
-		var ok bool
-		ok, r.detail = scrubJSON(path)
-		r.noRepair = !ok
+		r.detail, err = scrubJSON(path)
 	case filepath.Ext(base) == ".jsonl":
 		r.format = "jsonl"
-		r.scan, r.detail = scrubJSONL(path)
+		r.scan, r.detail, err = scrubJSONL(path)
 	default:
 		return report{}, false
+	}
+	if err != nil {
+		r.detail, r.noRepair = err.Error(), true
 	}
 	return r, true
 }
@@ -205,23 +209,23 @@ func ringSegment(base string) bool {
 }
 
 // scanFile streams the file at path through scan, the crcline reader
-// for its format; an open or read error becomes the detail.
-func scanFile(path, unit string, scan func(io.Reader) (crcline.Extent, error)) (crcline.Extent, string) {
+// for its format.
+func scanFile(path, unit string, scan func(io.Reader) (crcline.Extent, error)) (crcline.Extent, string, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return crcline.Extent{}, err.Error()
+		return crcline.Extent{}, "", err
 	}
 	defer f.Close()
 	s, err := scan(f)
 	if err != nil {
-		return crcline.Extent{}, err.Error()
+		return crcline.Extent{}, "", err
 	}
-	return s, scanDetail(s, unit)
+	return s, scanDetail(s, unit), nil
 }
 
 // scrubFramed scrubs the CRC framing the journal WAL, ring segments and
 // provenance traces share, with a JSON body in every frame.
-func scrubFramed(path string) (crcline.Extent, string) {
+func scrubFramed(path string) (crcline.Extent, string, error) {
 	return scanFile(path, "frames", func(r io.Reader) (crcline.Extent, error) {
 		return crcline.Scan(r, json.Valid)
 	})
@@ -231,7 +235,7 @@ func scrubFramed(path string) (crcline.Extent, string) {
 // sequence numbers are contiguous from zero. A CRC-valid record whose
 // seq breaks the chain ends the intact run exactly like a bad frame —
 // resume must never replay past a gap.
-func scrubWAL(path string) (crcline.Extent, string) {
+func scrubWAL(path string) (crcline.Extent, string, error) {
 	next := uint64(0)
 	return scanFile(path, "records", func(r io.Reader) (crcline.Extent, error) {
 		return crcline.Scan(r, func(body []byte) bool {
@@ -248,30 +252,32 @@ func scrubWAL(path string) (crcline.Extent, string) {
 }
 
 // scrubJSONL scrubs an unframed log: one JSON document per line.
-func scrubJSONL(path string) (crcline.Extent, string) {
+func scrubJSONL(path string) (crcline.Extent, string, error) {
 	return scanFile(path, "lines", func(r io.Reader) (crcline.Extent, error) {
 		return crcline.Lines(r, json.Valid, func([]byte) bool { return true })
 	})
 }
 
-func scrubJSON(path string) (bool, string) {
+// scrubJSON checks a whole-file JSON document, which has no frames to
+// truncate to: any damage is unrepairable.
+func scrubJSON(path string) (string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return false, err.Error()
+		return "", err
 	}
 	if !json.Valid(data) {
-		return false, fmt.Sprintf("invalid JSON document (%d bytes) — not repairable by truncation", len(data))
+		return "", fmt.Errorf("invalid JSON document (%d bytes) — not repairable by truncation", len(data))
 	}
-	return true, fmt.Sprintf("%d bytes", len(data))
+	return fmt.Sprintf("%d bytes", len(data)), nil
 }
 
-func scrubFlowstore(path string) (crcline.Extent, string) {
+func scrubFlowstore(path string) (crcline.Extent, string, error) {
 	rep, err := flowstore.Verify(nil, path)
 	if err != nil {
-		return crcline.Extent{}, err.Error()
+		return crcline.Extent{}, "", err
 	}
 	s := crcline.Extent{Records: rep.Segments, Good: rep.Good, Size: rep.Size, MidFile: rep.MidFile}
-	return s, scanDetail(s, "segments")
+	return s, scanDetail(s, "segments"), nil
 }
 
 // scrubPcap walks the record stream tracking byte offsets. Pcap record
@@ -279,34 +285,34 @@ func scrubFlowstore(path string) (crcline.Extent, string) {
 // first damage can be trusted: a hard decode error (an implausible
 // record length) is classified mid-file, a clean truncation mid-record
 // is a torn tail.
-func scrubPcap(path string) (crcline.Extent, string) {
+func scrubPcap(path string) (crcline.Extent, string, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return crcline.Extent{}, err.Error()
+		return crcline.Extent{}, "", err
 	}
 	s := crcline.Extent{Size: int64(len(data))}
 	rd, err := pcap.NewReader(bytes.NewReader(data))
 	if err != nil {
 		s.MidFile = true // a bad magic is never a crash artifact
-		return s, fmt.Sprintf("bad file header: %v", err)
+		return s, fmt.Sprintf("bad file header: %v", err), nil
 	}
 	s.Good = 24 // pcap global header
 	for {
 		rec, err := rd.Next()
 		if err == io.EOF {
 			if rd.Torn() {
-				return s, scanDetail(s, "packets")
+				return s, scanDetail(s, "packets"), nil
 			}
 			// Trailing garbage a torn read would have consumed silently.
 			if s.Good < s.Size {
 				s.MidFile = true
-				return s, scanDetail(s, "packets")
+				return s, scanDetail(s, "packets"), nil
 			}
-			return s, fmt.Sprintf("%d packets, %d bytes", s.Records, s.Size)
+			return s, fmt.Sprintf("%d packets, %d bytes", s.Records, s.Size), nil
 		}
 		if err != nil {
 			s.MidFile = true
-			return s, fmt.Sprintf("%s; %v", scanDetail(s, "packets"), err)
+			return s, fmt.Sprintf("%s; %v", scanDetail(s, "packets"), err), nil
 		}
 		s.Records++
 		s.Good += 16 + int64(len(rec.Data))

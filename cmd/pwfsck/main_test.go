@@ -309,6 +309,44 @@ func TestExitCodes(t *testing.T) {
 	}
 }
 
+// TestUnreadableArtifactIsCorrupt: an artifact pwfsck cannot open
+// vouches for nothing, so a dangling symlink in each format scrubs as
+// CORRUPT (exit 3) and -repair leaves it in place.
+func TestUnreadableArtifactIsCorrupt(t *testing.T) {
+	for _, rel := range []string{
+		"journal/wal.jsonl",
+		"livemon/ring/seg-00000000.jsonl",
+		"prof/provenance.trace",
+		"STAR/capture-99.pcap",
+		"flows.pwfs",
+		"health/alerts.jsonl",
+	} {
+		t.Run(rel, func(t *testing.T) {
+			dir := buildCampaignDir(t, false)
+			path := filepath.Join(dir, rel)
+			os.Remove(path)
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Symlink(filepath.Join(dir, "missing"), path); err != nil {
+				t.Fatal(err)
+			}
+			for _, args := range [][]string{{dir}, {"-repair", dir}} {
+				var out, errOut bytes.Buffer
+				if code := run(args, &out, &errOut); code != exitCorrupt {
+					t.Fatalf("%v: exit %d, want %d\n%s", args, code, exitCorrupt, out.String())
+				}
+				if !strings.Contains(out.String(), "CORRUPT  "+rel) {
+					t.Errorf("%v: %s not reported CORRUPT:\n%s", args, rel, out.String())
+				}
+			}
+			if _, err := os.Lstat(path); err != nil {
+				t.Errorf("-repair touched the unreadable artifact: %v", err)
+			}
+		})
+	}
+}
+
 // agreeFormat is one framed artifact written by its real writer and
 // loaded by its real reader.
 type agreeFormat struct {

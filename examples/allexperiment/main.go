@@ -82,9 +82,8 @@ func main() {
 	fmt.Printf("profiled %d sites, success rate %.0f%%\n\n",
 		len(prof.Bundles), prof.SuccessRate()*100)
 
-	// Analysis phase: digest every bundle into acaps.
-	var acaps []*analysis.Acap
-	var all []analysis.Record
+	// Analysis phase: stream every bundle's pcaps through one digester.
+	d := analysis.NewDigester(analysis.DigestOptions{})
 	for _, b := range prof.Bundles {
 		pcaps, err := b.DecompressPcaps()
 		if err != nil {
@@ -95,18 +94,15 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			a, err := analysis.Digest(b.Site, rd)
-			if err != nil {
+			if err := d.DigestStream(b.Site, rd); err != nil {
 				log.Fatal(err)
 			}
-			acaps = append(acaps, a)
-			all = append(all, a.Records...)
 		}
 	}
 
 	// Header occurrence (the Fig. 12 view).
 	fmt.Println("header occurrence (% of frames):")
-	occ := analysis.HeaderOccurrence(all)
+	occ := d.HeaderOccurrence()
 	type hv struct {
 		t   wire.LayerType
 		pct float64
@@ -122,18 +118,17 @@ func main() {
 
 	// Frame sizes (the Section 8.2 aggregate view).
 	fmt.Println("\nframe sizes:")
-	hist := analysis.FrameSizeHistogram(all)
-	for i, c := range hist {
+	for i, c := range d.FrameSizeHist() {
 		if c == 0 {
 			continue
 		}
 		fmt.Printf("  %-10s %6s\n", analysis.FrameSizeBucketLabel(i),
-			units.PercentOf(int64(c), int64(len(all))))
+			units.PercentOf(int64(c), int64(d.Frames())))
 	}
 
 	// Per-site diversity (the Fig. 11 view).
 	fmt.Println("\nper-site header diversity:")
-	for _, s := range analysis.HeaderStatsBySite(acaps) {
+	for _, s := range d.SiteHeaderStats() {
 		fmt.Printf("  %-8s %2d distinct headers, deepest stack %d (over %d frames)\n",
 			s.Site, s.DistinctHeaders, s.MaxStackDepth, s.Frames)
 	}

@@ -3,11 +3,13 @@ package prof
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/crcline"
 	"repro/internal/sim"
 )
 
@@ -174,6 +176,63 @@ func TestLoadRejectsGarbage(t *testing.T) {
 	os.WriteFile(empty, nil, 0o644)
 	if _, err := LoadTrace(empty); err == nil {
 		t.Error("empty file accepted")
+	}
+}
+
+// writeFrames writes a hand-built trace: the real header, then each
+// body in its own CRC-valid frame.
+func writeFrames(t *testing.T, bodies ...string) string {
+	t.Helper()
+	data := crcline.Append(nil, []byte(fmt.Sprintf(`{"k":"hdr","format":%q,"v":%d}`, TraceFormat, TraceVersion)))
+	for _, b := range bodies {
+		data = crcline.Append(data, []byte(b))
+	}
+	path := filepath.Join(t.TempDir(), "provenance.trace")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestLoadRejectsBadFnIDs: fn ids are interned densely from 0, so a
+// definition naming any other id is an error, not an index into
+// FnNames; an event naming an undefined id still reports.
+func TestLoadRejectsBadFnIDs(t *testing.T) {
+	for _, id := range []int{-1, 1 << 30, 1} {
+		path := writeFrames(t,
+			`{"k":"fn","id":0,"name":"a"}`,
+			fmt.Sprintf(`{"k":"fn","id":%d,"name":"b"}`, id),
+			`{"k":"ev","s":1,"p":-1,"t":5,"f":0}`)
+		if id == 1 {
+			if _, err := LoadTrace(path); err != nil {
+				t.Fatalf("dense ids rejected: %v", err)
+			}
+			continue
+		}
+		tr, err := LoadTrace(path)
+		if err == nil {
+			t.Errorf("fn id %d: loaded %d names, want an error", id, len(tr.FnNames))
+		} else if !strings.Contains(err.Error(), "fn id") {
+			t.Errorf("fn id %d: error %q does not name the id", id, err)
+		}
+	}
+
+	tr, err := LoadTrace(writeFrames(t,
+		`{"k":"fn","id":0,"name":"a"}`,
+		`{"k":"ev","s":1,"p":-1,"t":5,"f":-1}`,
+		`{"k":"ev","s":2,"p":1,"t":9,"f":0}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := tr.FnName(-1); got != "fn#-1" {
+		t.Errorf("FnName(-1) = %q, want fn#-1", got)
+	}
+	var b strings.Builder
+	if err := WriteReport(&b, tr, 5); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "fn#-1") {
+		t.Errorf("report does not name the undefined callback:\n%s", b.String())
 	}
 }
 

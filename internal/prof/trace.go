@@ -57,7 +57,7 @@ func LoadTrace(path string) (*Trace, error) {
 	var (
 		rec    lineRec
 		header bool  // the header frame was read
-		herr   error // the header names another format or version
+		herr   error // the header names another format or version, or a frame is malformed
 	)
 	ext, err := crcline.Scan(f, func(body []byte) bool {
 		rec = lineRec{}
@@ -78,10 +78,13 @@ func LoadTrace(path string) (*Trace, error) {
 		}
 		switch rec.K {
 		case "fn":
-			for int(rec.ID) >= len(t.FnNames) {
-				t.FnNames = append(t.FnNames, "")
+			// The writer interns callbacks densely from 0, so every
+			// definition names the next id.
+			if int(rec.ID) != len(t.FnNames) {
+				herr = fmt.Errorf("prof: %s: fn id %d out of order (want %d)", path, rec.ID, len(t.FnNames))
+				return false
 			}
-			t.FnNames[rec.ID] = rec.Name
+			t.FnNames = append(t.FnNames, rec.Name)
 		case "tag":
 			t.TagNames[rec.ID] = rec.Name
 		case "ev":
@@ -109,7 +112,7 @@ func LoadTrace(path string) (*Trace, error) {
 
 // FnName returns the interned name for a callback id.
 func (t *Trace) FnName(id int32) string {
-	if int(id) < len(t.FnNames) && t.FnNames[id] != "" {
+	if id >= 0 && int(id) < len(t.FnNames) && t.FnNames[id] != "" {
 		return t.FnNames[id]
 	}
 	return fmt.Sprintf("fn#%d", id)

@@ -29,7 +29,8 @@
 # suite), and a live-telemetry gate: a
 # campaign served with -serve is probed over HTTP (pwlive validates the
 # exposition and JSON endpoints), shut down with SIGTERM, and its
-# artifacts must be byte-identical to the unserved baseline, and a
+# artifacts must be byte-identical to the unserved baseline, as must a
+# run printing the -watch status table and exporting a -trace, and a
 # provenance gate: the same campaign run with -provenance serially and
 # under -lanes must write byte-identical causal traces, and pwprof must
 # produce a critical-path report from them, and a results gate:
@@ -154,6 +155,15 @@ cmp "$tmp/base.prom" "$tmp/serve.prom"
 cmp "$tmp/base/wal.jsonl" "$tmp/serve/wal.jsonl"
 go run ./cmd/pwhealth -check-prom "$tmp/serve.prom" >/dev/null
 echo "live-telemetry gate: probe passed, artifacts byte-identical with -serve"
+# The -watch status table prints from the same drive loop, and -trace
+# exports the span tree after the run: neither may perturb the run.
+"$tmp/patchwork" $common -journal "$tmp/watch" -out "$tmp/watch-out" \
+    -metrics "$tmp/watch.prom" -no-kill -watch -watch-sec 5 \
+    -trace "$tmp/watch-trace.jsonl" >/dev/null
+cmp "$tmp/base.prom" "$tmp/watch.prom"
+cmp "$tmp/base/wal.jsonl" "$tmp/watch/wal.jsonl"
+test -s "$tmp/watch-trace.jsonl"
+echo "live-telemetry gate: artifacts byte-identical with -watch and -trace"
 
 # Provenance gate: the causal event DAG recorded with -provenance is a
 # sim-time artifact, so a serial run and a sharded laned run of the same
