@@ -97,6 +97,18 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
+	// The campaign fills a zero field with its default, so an explicit
+	// zero would silently run something else.
+	bad := false
+	fl.Visit(func(f *flag.Flag) {
+		if nonZeroFlags[f.Name] && f.Value.String() == "0" {
+			fmt.Fprintf(stderr, "patchwork: -%s 0 would become the default %s; give a nonzero value\n", f.Name, f.DefValue)
+			bad = true
+		}
+	})
+	if bad {
+		return 2
+	}
 
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "patchwork:", err)
@@ -273,6 +285,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fmt.Fprintf(stdout, "output written to %s\n", *out)
 	hold()
 	return 0
+}
+
+// nonZeroFlags are the spec flags whose zero campaign.Spec.WithDefaults
+// replaces with the default.
+var nonZeroFlags = map[string]bool{
+	"runs": true, "samples": true, "sample-sec": true, "truncate": true,
+	"seed": true, "federation-sites": true, "checkpoint-sec": true,
 }
 
 // statusPrinter is the -watch view: the campaign's live sink, printing

@@ -4,11 +4,14 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/campaign"
 )
 
 // small is a campaign of 2 sites, 1 run, 2 samples of 2 s.
@@ -123,5 +126,40 @@ func TestRemedyIsOptIn(t *testing.T) {
 	args := append([]string{"-out", filepath.Join(tmp, "bare")}, small...)
 	if code := run(args, &stdout, &stderr); code != 1 || !strings.Contains(stderr.String(), "already holds a campaign") {
 		t.Errorf("rerun into the same -out: exit %d, stderr %q", code, stderr.String())
+	}
+}
+
+// TestExplicitZeroRejected: the campaign would turn a zero in any of
+// these flags into its default, so the command line refuses the zero
+// (exit 2, naming the flag and that default) before anything runs.
+func TestExplicitZeroRejected(t *testing.T) {
+	def := campaign.Spec{}.WithDefaults()
+	for _, tc := range []struct {
+		flag string
+		def  uint64
+	}{
+		{"runs", uint64(def.Runs)},
+		{"samples", uint64(def.Samples)},
+		{"sample-sec", uint64(def.SampleSec)},
+		{"truncate", uint64(def.TruncateBytes)},
+		{"seed", def.Seed},
+		{"federation-sites", uint64(def.FederationSites)},
+		{"checkpoint-sec", uint64(def.CheckpointSec)},
+	} {
+		t.Run(tc.flag, func(t *testing.T) {
+			out := filepath.Join(t.TempDir(), "out")
+			args := append([]string{"-out", out}, small...)
+			var stdout, stderr bytes.Buffer
+			if code := run(append(args, "-"+tc.flag, "0"), &stdout, &stderr); code != 2 {
+				t.Fatalf("exit %d, want 2\nstderr:\n%s", code, stderr.String())
+			}
+			want := fmt.Sprintf("-%s 0 would become the default %d", tc.flag, tc.def)
+			if !strings.Contains(stderr.String(), want) {
+				t.Errorf("stderr %q lacks %q", stderr.String(), want)
+			}
+			if _, err := os.Stat(out); !os.IsNotExist(err) {
+				t.Errorf("the refused run touched its output directory (stat: %v)", err)
+			}
+		})
 	}
 }

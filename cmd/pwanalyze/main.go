@@ -4,11 +4,13 @@
 // Process (CSV emission).
 //
 // The pipeline is single-pass and bounded-memory: each capture streams
-// through the digester frame by frame, each frame is decoded once and
-// its acap record is encoded to the capture's acap file as it is
-// digested, and the flow table spills cold flows to a columnar flow
-// store (flows.pwfs) that doubles as the /api/flows query artifact.
-// Only the hot flow working set is ever resident.
+// through the digester frame by frame, each frame is decoded once, and
+// the flow table spills cold flows to a columnar flow store (flows.pwfs)
+// that doubles as the /api/flows query artifact. Only the hot flow
+// working set is ever resident. The frames' acap records go, in a few
+// recycled batches, to an encoder goroutine that writes the acaps and
+// their index entries in capture order while the walk reads and digests
+// the next frames.
 //
 // Usage:
 //
@@ -114,10 +116,10 @@ func run(in, out string, hotMax int, verbose bool) (torn []string, err error) {
 	// from the parent directory. Each frame is decoded once, by the
 	// digester, which folds every streamed statistic — frame sizes,
 	// header stacks, flows, TCP flags — and hands back the frame's acap
-	// record for the encoder; the index entry comes from the same pass.
+	// record; the records travel in batches to the acap writer.
+	aw := startAcapWriter()
+	b := <-aw.free
 	var captures int
-	var index analysis.Index
-	var enc analysis.AcapEncoder
 	err = filepath.WalkDir(in, func(path string, de fs.DirEntry, err error) error {
 		if err != nil || de.IsDir() || !strings.HasSuffix(path, ".pcap") {
 			return err
@@ -134,25 +136,21 @@ func run(in, out string, hotMax int, verbose bool) (torn []string, err error) {
 		}
 		captures++
 		acapPath := filepath.Join(acapDir, fmt.Sprintf("%s-%03d.json", site, captures))
-		af, err := os.Create(acapPath)
-		if err != nil {
-			return err
-		}
-		defer af.Close()
+		b.site, b.path, b.first = site, acapPath, true
 		d.StartSample(site)
-		started := false
 		err = rd.ForEach(func(rec *pcap.Record) error {
 			if err := d.Frame(rec.TimestampNanos, rec.Data, rec.OriginalLength); err != nil {
 				return err
 			}
-			r := d.Record()
-			if !started {
-				// The sample starts at its first record, as in
-				// analysis.Digest.
-				enc.Begin(af, site, r.TimestampNanos)
-				started = true
+			if b.full() {
+				next, err := aw.handOff(b)
+				if err != nil {
+					return err
+				}
+				b = next
 			}
-			return enc.Write(r)
+			b.add(d.Record())
+			return nil
 		})
 		if err != nil {
 			return err
@@ -160,27 +158,23 @@ func run(in, out string, hotMax int, verbose bool) (torn []string, err error) {
 		if rd.Torn() {
 			torn = append(torn, path)
 		}
-		if !started {
-			enc.Begin(af, site, 0)
-		}
-		entry, err := enc.End()
-		if err != nil {
-			return err
-		}
-		if err := af.Close(); err != nil {
-			return err
-		}
-		entry.Path = acapPath
-		entry.DistinctFlows = d.EndSample()
-		index.Add(entry)
-		return nil
+		b.last, b.flows = true, d.EndSample()
+		b, err = aw.handOff(b)
+		return err
 	})
+	// Join the writer whether or not the walk failed. Its error comes
+	// first: it concerns records the walk had already handed off, so it
+	// is the earlier failure in capture order.
+	if werr := aw.close(); werr != nil {
+		return nil, werr
+	}
 	if err != nil {
 		return nil, err
 	}
 	if captures == 0 {
 		return nil, fmt.Errorf("no .pcap files under %s", in)
 	}
+	index := aw.index
 
 	// Flush the remaining hot flows so flows.pwfs is a complete record,
 	// then reopen it read-only for the exact aggregate merge.

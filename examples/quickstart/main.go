@@ -12,7 +12,9 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"repro/internal/analysis"
 	patchwork "repro/internal/core"
@@ -25,6 +27,13 @@ import (
 )
 
 func main() {
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run profiles the site and prints what was captured to w.
+func run(w io.Writer) error {
 	// A small federation: two sites, a handful of ports each.
 	k := sim.NewKernel()
 	fed, err := testbed.NewFederation(k, []testbed.SiteSpec{
@@ -34,7 +43,7 @@ func main() {
 			Cores: 32, RAM: 128 * units.GB, Storage: units.TB},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Telemetry (MFlib stand-in) polls every switch.
@@ -63,41 +72,37 @@ func main() {
 	}
 	coord, err := patchwork.NewCoordinator(fed, store, poller, cfg)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	prof, err := coord.Run()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	driver.Stop()
 	poller.Stop()
 
-	// Gather + analyze: decompress the bundle and digest the captures.
+	// Gather + analyze: decompress the bundle and stream each capture
+	// through the digester, one sample per pcap.
 	b := prof.Bundles[0]
-	fmt.Printf("site %s: outcome=%v, sampled ports %v\n", b.Site, b.Outcome, b.PortsSampled)
+	fmt.Fprintf(w, "site %s: outcome=%v, sampled ports %v\n", b.Site, b.Outcome, b.PortsSampled)
 	pcaps, err := b.DecompressPcaps()
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	frames := 0
-	stacks := map[string]int{}
+	d := analysis.NewDigester(analysis.DigestOptions{})
 	for _, raw := range pcaps {
 		rd, err := pcap.NewReader(bytes.NewReader(raw))
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
-		acap, err := analysis.Digest(b.Site, rd)
-		if err != nil {
-			log.Fatal(err)
-		}
-		frames += len(acap.Records)
-		for _, r := range acap.Records {
-			stacks[r.StackString()]++
+		if err := d.DigestStream(b.Site, rd); err != nil {
+			return err
 		}
 	}
-	fmt.Printf("captured %d frames across %d pcaps\n", frames, len(pcaps))
-	fmt.Println("header stacks observed:")
-	for s, n := range stacks {
-		fmt.Printf("  %6d  %s\n", n, s)
+	fmt.Fprintf(w, "captured %d frames across %d pcaps\n", d.Frames(), len(pcaps))
+	fmt.Fprintln(w, "header stacks observed:")
+	for _, p := range d.EncapCensus() {
+		fmt.Fprintf(w, "  %6d  %s\n", p.Frames, p.Pattern)
 	}
+	return nil
 }

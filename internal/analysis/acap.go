@@ -102,19 +102,20 @@ func Digest(site string, r *pcap.Reader) (*Acap, error) {
 // DigestFrame dissects one frame into a Record.
 func DigestFrame(tsNanos int64, data []byte, wireLen int) Record {
 	pkt := wire.NewPacket(data, wire.LayerTypeEthernet, wire.Default)
-	return frameRecord(pkt, pkt.LayerTypes(), tsNanos, len(data), wireLen)
+	return frameRecord(pkt, pkt.LayerTypes(), extractFlowKey(pkt.Layers()), tsNanos, len(data), wireLen)
 }
 
 // frameRecord builds the Record of a frame already decoded into pkt;
-// stack is its header stack and is stored, not copied.
-func frameRecord(pkt *wire.Packet, stack []wire.LayerType, tsNanos int64, storedLen, wireLen int) Record {
+// stack is its header stack and is stored, not copied, and key its flow
+// key.
+func frameRecord(pkt *wire.Packet, stack []wire.LayerType, key FlowKey, tsNanos int64, storedLen, wireLen int) Record {
 	fail := pkt.ErrorLayer()
 	return Record{
 		TimestampNanos:  tsNanos,
 		WireLen:         wireLen,
 		StoredLen:       storedLen,
 		Stack:           stack,
-		Flow:            extractFlowKey(pkt.Layers()),
+		Flow:            key,
 		DecodeTruncated: fail != nil && wire.IsTruncated(fail.Error()),
 	}
 }
@@ -124,52 +125,57 @@ func frameRecord(pkt *wire.Packet, stack []wire.LayerType, tsNanos int64, stored
 func extractFlowKey(layers []wire.Layer) FlowKey {
 	var k FlowKey
 	for _, l := range layers {
-		switch v := l.(type) {
-		case *wire.Dot1Q:
-			if k.VLANID == 0 {
-				k.VLANID = v.VLANID
-			}
-		case *wire.MPLS:
-			if k.MPLSTop == 0 {
-				k.MPLSTop = v.Label
-			}
-		case *wire.IPv4:
-			if k.Proto == wire.LayerTypeZero && k.Src == (wire.Endpoint{}) {
-				k.Src = wire.NewIPEndpoint(v.SrcIP)
-				k.Dst = wire.NewIPEndpoint(v.DstIP)
-			}
-		case *wire.IPv6:
-			if k.Proto == wire.LayerTypeZero && k.Src == (wire.Endpoint{}) {
-				k.Src = wire.NewIPEndpoint(v.SrcIP)
-				k.Dst = wire.NewIPEndpoint(v.DstIP)
-			}
-		case *wire.TCP:
-			if k.Proto == wire.LayerTypeZero {
-				k.Proto = wire.LayerTypeTCP
-				k.SrcPort, k.DstPort = v.SrcPort, v.DstPort
-			}
-		case *wire.UDP:
-			if k.Proto == wire.LayerTypeZero {
-				k.Proto = wire.LayerTypeUDP
-				k.SrcPort, k.DstPort = v.SrcPort, v.DstPort
-			}
-		case *wire.ICMPv4:
-			if k.Proto == wire.LayerTypeZero {
-				k.Proto = wire.LayerTypeICMPv4
-			}
-		case *wire.ICMPv6:
-			if k.Proto == wire.LayerTypeZero {
-				k.Proto = wire.LayerTypeICMPv6
-			}
-		case *wire.ARP:
-			if k.Proto == wire.LayerTypeZero {
-				k.Proto = wire.LayerTypeARP
-				k.Src = wire.NewIPEndpoint(v.SenderIP)
-				k.Dst = wire.NewIPEndpoint(v.TargetIP)
-			}
-		}
+		k.add(l)
 	}
 	return k
+}
+
+// add folds the next layer of a stack, outermost first, into the key.
+func (k *FlowKey) add(l wire.Layer) {
+	switch v := l.(type) {
+	case *wire.Dot1Q:
+		if k.VLANID == 0 {
+			k.VLANID = v.VLANID
+		}
+	case *wire.MPLS:
+		if k.MPLSTop == 0 {
+			k.MPLSTop = v.Label
+		}
+	case *wire.IPv4:
+		if k.Proto == wire.LayerTypeZero && k.Src == (wire.Endpoint{}) {
+			k.Src = wire.NewIPEndpoint(v.SrcIP)
+			k.Dst = wire.NewIPEndpoint(v.DstIP)
+		}
+	case *wire.IPv6:
+		if k.Proto == wire.LayerTypeZero && k.Src == (wire.Endpoint{}) {
+			k.Src = wire.NewIPEndpoint(v.SrcIP)
+			k.Dst = wire.NewIPEndpoint(v.DstIP)
+		}
+	case *wire.TCP:
+		if k.Proto == wire.LayerTypeZero {
+			k.Proto = wire.LayerTypeTCP
+			k.SrcPort, k.DstPort = v.SrcPort, v.DstPort
+		}
+	case *wire.UDP:
+		if k.Proto == wire.LayerTypeZero {
+			k.Proto = wire.LayerTypeUDP
+			k.SrcPort, k.DstPort = v.SrcPort, v.DstPort
+		}
+	case *wire.ICMPv4:
+		if k.Proto == wire.LayerTypeZero {
+			k.Proto = wire.LayerTypeICMPv4
+		}
+	case *wire.ICMPv6:
+		if k.Proto == wire.LayerTypeZero {
+			k.Proto = wire.LayerTypeICMPv6
+		}
+	case *wire.ARP:
+		if k.Proto == wire.LayerTypeZero {
+			k.Proto = wire.LayerTypeARP
+			k.Src = wire.NewIPEndpoint(v.SenderIP)
+			k.Dst = wire.NewIPEndpoint(v.TargetIP)
+		}
+	}
 }
 
 // Encode serializes the acap as JSON (one object and a newline) through
@@ -307,13 +313,16 @@ func appendNonZero(b []byte, key string, v int64) []byte {
 
 // StackString renders a record's header stack like
 // "Ethernet/Dot1Q/MPLS/IPv4/TCP".
-func (r *Record) StackString() string {
-	s := ""
-	for i, t := range r.Stack {
+func (r *Record) StackString() string { return stackName(r.Stack) }
+
+// stackName renders a header stack like "Ethernet/Dot1Q/MPLS/IPv4/TCP".
+func stackName(stack []wire.LayerType) string {
+	var b []byte
+	for i, t := range stack {
 		if i > 0 {
-			s += "/"
+			b = append(b, '/')
 		}
-		s += t.String()
+		b = append(b, t.String()...)
 	}
-	return s
+	return string(b)
 }

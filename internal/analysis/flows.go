@@ -36,24 +36,28 @@ func CountTCPFlags(frames [][]byte) TCPFlagCounts {
 		if tl == nil {
 			continue
 		}
-		tcp := tl.(*wire.TCP)
-		out.Segments++
-		switch {
-		case tcp.Flags&wire.TCPRst != 0:
-			out.Rst++
-		case tcp.Flags&wire.TCPSyn != 0 && tcp.Flags&wire.TCPAck != 0:
-			out.SynAck++
-		case tcp.Flags&wire.TCPSyn != 0:
-			out.Syn++
-		}
-		if tcp.Flags&wire.TCPFin != 0 {
-			out.Fin++
-		}
-		if tcp.Flags == wire.TCPAck && len(tcp.LayerPayload()) == 0 {
-			out.PureAck++
-		}
+		out.add(tl.(*wire.TCP))
 	}
 	return out
+}
+
+// add tallies one TCP segment.
+func (c *TCPFlagCounts) add(tcp *wire.TCP) {
+	c.Segments++
+	switch {
+	case tcp.Flags&wire.TCPRst != 0:
+		c.Rst++
+	case tcp.Flags&wire.TCPSyn != 0 && tcp.Flags&wire.TCPAck != 0:
+		c.SynAck++
+	case tcp.Flags&wire.TCPSyn != 0:
+		c.Syn++
+	}
+	if tcp.Flags&wire.TCPFin != 0 {
+		c.Fin++
+	}
+	if tcp.Flags == wire.TCPAck && len(tcp.LayerPayload()) == 0 {
+		c.PureAck++
+	}
 }
 
 // FlowTimes summarizes one flow's observed lifetime within the capture.

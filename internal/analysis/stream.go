@@ -50,7 +50,6 @@ type Digester struct {
 
 	pkt      wire.Packet
 	stackBuf []wire.LayerType
-	patBuf   []byte
 	rec      Record
 
 	frames    int
@@ -58,20 +57,23 @@ type Digester struct {
 	sizeHist  []int
 	jumbo     int
 
-	headerCounts map[wire.LayerType]int
+	headerCounts [wire.LayerTypeCount]int
 
 	sites     map[string]*siteAcc
 	siteOrder []string
 	curSite   *siteAcc
 
-	encap      map[string]*int
-	encapOrder []string
+	// The encapsulation census is keyed by the stack's layer types, one
+	// byte each; a pattern's "Ethernet/Dot1Q/..." name is built once,
+	// when the pattern is first seen.
+	censusKey []byte
+	census    map[string]int // census key -> index in patterns
+	patterns  []StackPattern // first-seen order
 
 	flags TCPFlagCounts
 
 	flows *FlowTable
 
-	sampleSeen   map[FlowKey]struct{}
 	sampleCounts []int
 	inSample     bool
 }
@@ -97,13 +99,11 @@ func NewDigester(opt DigestOptions) *Digester {
 		opt.HeavyK = 64
 	}
 	return &Digester{
-		opt:          opt,
-		sizeHist:     make([]int, len(FrameSizeBuckets)+1),
-		headerCounts: make(map[wire.LayerType]int),
-		sites:        make(map[string]*siteAcc),
-		encap:        make(map[string]*int),
-		flows:        NewFlowTable(opt.MaxHotFlows, opt.Spill, opt.HLLPrecision, opt.HeavyK),
-		sampleSeen:   make(map[FlowKey]struct{}),
+		opt:      opt,
+		sizeHist: make([]int, len(FrameSizeBuckets)+1),
+		sites:    make(map[string]*siteAcc),
+		census:   make(map[string]int),
+		flows:    NewFlowTable(opt.MaxHotFlows, opt.Spill, opt.HLLPrecision, opt.HeavyK),
 	}
 }
 
@@ -122,8 +122,7 @@ func (d *Digester) StartSample(site string) {
 		d.siteOrder = append(d.siteOrder, site)
 	}
 	d.curSite = sa
-	d.flows.site = site
-	clear(d.sampleSeen)
+	d.flows.startSample(site)
 	d.inSample = true
 }
 
@@ -133,7 +132,7 @@ func (d *Digester) EndSample() int {
 	if !d.inSample {
 		return 0
 	}
-	n := len(d.sampleSeen)
+	n := d.flows.endSample()
 	d.sampleCounts = append(d.sampleCounts, n)
 	d.inSample = false
 	return n
@@ -165,19 +164,23 @@ func (d *Digester) Frame(tsNanos int64, data []byte, wireLen int) error {
 	// nothing below retains layer or data references past the call.
 	d.pkt.Reset(data, wire.LayerTypeEthernet, wire.NoCopy)
 	layers := d.pkt.Layers()
-
-	// Header stack statistics + encapsulation census.
-	d.stackBuf = d.stackBuf[:0]
-	d.patBuf = d.patBuf[:0]
-	depth := len(layers)
-	if depth > sa.maxDepth {
-		sa.maxDepth = depth
+	if len(layers) > sa.maxDepth {
+		sa.maxDepth = len(layers)
 	}
-	for i, l := range layers {
+
+	// One pass over the layers yields the header stack, the census key,
+	// the header and site counters, the TCP flags (CountTCPFlags
+	// semantics: the first TCP layer) and the flow key.
+	d.stackBuf = d.stackBuf[:0]
+	d.censusKey = d.censusKey[:0]
+	var key FlowKey
+	sawTCP := false
+	for _, l := range layers {
 		t := l.LayerType()
 		d.stackBuf = append(d.stackBuf, t)
+		d.censusKey = append(d.censusKey, byte(t))
 		d.headerCounts[t]++
-		if int(t) < len(sa.distinct) && !sa.distinct[t] {
+		if !sa.distinct[t] {
 			sa.distinct[t] = true
 			sa.nDistinct++
 		}
@@ -188,55 +191,30 @@ func (d *Digester) Frame(tsNanos int64, data []byte, wireLen int) error {
 			sa.v6++
 		case wire.LayerTypeTCP:
 			sa.tcp++
+			if tcp, ok := l.(*wire.TCP); ok && !sawTCP {
+				sawTCP = true
+				d.flags.add(tcp)
+			}
 		case wire.LayerTypeUDP:
 			sa.udp++
 		}
-		if i > 0 {
-			d.patBuf = append(d.patBuf, '/')
-		}
-		d.patBuf = append(d.patBuf, t.String()...)
+		key.add(l)
 	}
-	d.rec = frameRecord(&d.pkt, d.stackBuf, tsNanos, len(data), wireLen)
+	d.rec = frameRecord(&d.pkt, d.stackBuf, key, tsNanos, len(data), wireLen)
 	if d.rec.DecodeTruncated {
 		d.truncated++
 	}
-	// map[string]*int: the read side is allocation-free (string(patBuf)
-	// lookups don't materialize the string); only a new pattern interns.
-	if c, ok := d.encap[string(d.patBuf)]; ok {
-		*c++
+	// string(censusKey) in a lookup does not allocate; only a new
+	// pattern stores its key and builds its name.
+	if i, ok := d.census[string(d.censusKey)]; ok {
+		d.patterns[i].Frames++
 	} else {
-		p := string(d.patBuf)
-		n := 1
-		d.encap[p] = &n
-		d.encapOrder = append(d.encapOrder, p)
-	}
-
-	// TCP control flags (CountTCPFlags semantics, on the same decode).
-	for _, l := range layers {
-		if tcp, ok := l.(*wire.TCP); ok {
-			d.flags.Segments++
-			switch {
-			case tcp.Flags&wire.TCPRst != 0:
-				d.flags.Rst++
-			case tcp.Flags&wire.TCPSyn != 0 && tcp.Flags&wire.TCPAck != 0:
-				d.flags.SynAck++
-			case tcp.Flags&wire.TCPSyn != 0:
-				d.flags.Syn++
-			}
-			if tcp.Flags&wire.TCPFin != 0 {
-				d.flags.Fin++
-			}
-			if tcp.Flags == wire.TCPAck && len(tcp.LayerPayload()) == 0 {
-				d.flags.PureAck++
-			}
-			break
-		}
+		d.census[string(d.censusKey)] = len(d.patterns)
+		d.patterns = append(d.patterns, StackPattern{Pattern: stackName(d.stackBuf), Frames: 1})
 	}
 
 	// Flow accounting on the canonical key.
-	key := d.rec.Flow.Canonical()
-	d.sampleSeen[key] = struct{}{}
-	return d.flows.Observe(key, tsNanos, wireLen)
+	return d.flows.Observe(key.Canonical(), tsNanos, wireLen)
 }
 
 // Record returns the acap record of the frame last passed to Frame:
@@ -296,9 +274,11 @@ func (d *Digester) HeaderOccurrence() map[wire.LayerType]float64 {
 	if d.frames == 0 {
 		return nil
 	}
-	out := make(map[wire.LayerType]float64, len(d.headerCounts))
+	out := make(map[wire.LayerType]float64)
 	for t, c := range d.headerCounts {
-		out[t] = float64(c) / float64(d.frames) * 100
+		if c > 0 {
+			out[wire.LayerType(t)] = float64(c) / float64(d.frames) * 100
+		}
 	}
 	return out
 }
@@ -349,10 +329,7 @@ func (d *Digester) SiteProtocolShares() []SiteProtocolShare {
 // EncapCensus returns EncapsulationCensus's rows: first-seen pattern
 // order, stably sorted by frequency descending then pattern.
 func (d *Digester) EncapCensus() []StackPattern {
-	out := make([]StackPattern, 0, len(d.encapOrder))
-	for _, p := range d.encapOrder {
-		out = append(out, StackPattern{Pattern: p, Frames: *d.encap[p]})
-	}
+	out := append([]StackPattern(nil), d.patterns...)
 	sort.SliceStable(out, func(i, j int) bool {
 		if out[i].Frames != out[j].Frames {
 			return out[i].Frames > out[j].Frames
@@ -382,6 +359,10 @@ type flowEntry struct {
 	firstSeq uint64
 	frames   uint64
 	bytes    uint64
+
+	hash   uint64        // the key's sketch hash
+	heavy  sketch.Handle // the key's heavy-hitter slot
+	sample uint64        // the last sample the flow was seen in
 }
 
 // FlowTable aggregates per-flow totals with a bounded hot set. Flows
@@ -389,17 +370,31 @@ type flowEntry struct {
 // columnar flowstore, from which Aggregates can merge them back. The
 // table also maintains O(1) sketches: a HyperLogLog over distinct keys
 // and a space-saving summary of heavy-hitter flows by frame count.
+//
+// A frame of a hot flow costs one map lookup: its entry carries the
+// sample it was last seen in and a handle on its heavy-hitter slot. The
+// key's hash is computed, the HLL fed and the slot looked up only when
+// the flow enters the hot set.
 type FlowTable struct {
 	hot     map[FlowKey]*flowEntry
+	free    []*flowEntry // spilled entries, reused by flows entering
 	maxHot  int
 	spill   *flowstore.Writer
 	site    string
 	seq     uint64
 	spilled int64
 
-	hll    *sketch.HLL
-	heavy  *sketch.TopK[FlowKey]
-	keyBuf []byte
+	// sample numbers the current sample and sampleFlows counts the
+	// distinct flows seen in it. spilledIn holds the flows spilled
+	// during the sample after being seen in it, so that one re-entering
+	// the hot set is not counted twice.
+	sample      uint64
+	inSample    bool
+	sampleFlows int
+	spilledIn   map[FlowKey]struct{}
+
+	hll   *sketch.HLL
+	heavy *sketch.TopK[FlowKey]
 
 	scratch []*flowEntry
 	recBuf  []flowstore.Rec
@@ -454,8 +449,15 @@ func NewFlowTable(maxHot int, spill *flowstore.Writer, hllPrecision uint8, heavy
 		maxHot: maxHot,
 		spill:  spill,
 		hll:    sketch.NewHLL(hllPrecision),
-		heavy:  sketch.NewTopK[FlowKey](heavyK, flowKeyLess),
+		heavy:  sketch.NewTopK[FlowKey](heavyK, flowKeyLess, flowKeyHash),
 	}
+}
+
+// flowKeyHash is the key's sketch hash, over the flowstore's key
+// encoding.
+func flowKeyHash(k FlowKey) uint64 {
+	var buf [64]byte
+	return sketch.Hash64(appendFlowKeyBytes(buf[:0], k))
 }
 
 // StoreKey converts an analysis FlowKey to its flowstore form.
@@ -478,15 +480,15 @@ func FromStoreKey(k flowstore.Key) FlowKey {
 
 // Observe accounts one frame to key at tsNanos.
 func (t *FlowTable) Observe(key FlowKey, tsNanos int64, wireLen int) error {
-	t.keyBuf = appendFlowKeyBytes(t.keyBuf[:0], key)
-	t.hll.AddHash(sketch.Hash64(t.keyBuf))
-	t.heavy.Add(key, 1)
 	e, ok := t.hot[key]
 	if !ok {
-		e = &flowEntry{key: key, site: t.site, firstNs: tsNanos, lastNs: tsNanos, firstSeq: t.seq}
-		t.hot[key] = e
+		e = t.enter(key, tsNanos)
+	} else if e.sample != t.sample {
+		e.sample = t.sample
+		t.sampleFlows++
 	}
 	t.seq++
+	e.heavy = t.heavy.AddAt(e.heavy, key, e.hash, 1)
 	if tsNanos < e.firstNs {
 		e.firstNs = tsNanos
 	}
@@ -501,6 +503,45 @@ func (t *FlowTable) Observe(key FlowKey, tsNanos int64, wireLen int) error {
 		return t.spillColdest()
 	}
 	return nil
+}
+
+// enter adds key to the hot set, in a recycled entry when one is free.
+// The key's hash feeds the HLL here, which is as good as feeding it
+// every frame: re-adding a hash changes no register.
+func (t *FlowTable) enter(key FlowKey, tsNanos int64) *flowEntry {
+	var e *flowEntry
+	if n := len(t.free); n > 0 {
+		e, t.free = t.free[n-1], t.free[:n-1]
+	} else {
+		e = new(flowEntry)
+	}
+	h := flowKeyHash(key)
+	t.hll.AddHash(h)
+	*e = flowEntry{
+		key: key, site: t.site, firstNs: tsNanos, lastNs: tsNanos, firstSeq: t.seq,
+		hash: h, heavy: t.heavy.Find(key, h), sample: t.sample,
+	}
+	if _, counted := t.spilledIn[key]; !counted {
+		t.sampleFlows++
+	}
+	t.hot[key] = e
+	return e
+}
+
+// startSample begins sample accounting for a sample of site.
+func (t *FlowTable) startSample(site string) {
+	t.site = site
+	t.sample++
+	t.inSample = true
+	t.sampleFlows = 0
+	clear(t.spilledIn)
+}
+
+// endSample ends the sample and returns its distinct-flow count.
+func (t *FlowTable) endSample() int {
+	t.inSample = false
+	clear(t.spilledIn)
+	return t.sampleFlows
 }
 
 // appendFlowKeyBytes mirrors the flowstore's canonical key encoding so
@@ -571,7 +612,14 @@ func (t *FlowTable) spillEntries(victims []*flowEntry) error {
 		start = end
 	}
 	for _, e := range victims {
+		if t.inSample && e.sample == t.sample {
+			if t.spilledIn == nil {
+				t.spilledIn = make(map[FlowKey]struct{})
+			}
+			t.spilledIn[e.key] = struct{}{}
+		}
 		delete(t.hot, e.key)
+		t.free = append(t.free, e)
 	}
 	t.spilled += int64(len(victims))
 	return nil

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"os"
@@ -11,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/flowstore"
+	"repro/internal/sketch"
 	"repro/internal/trafficgen"
 )
 
@@ -389,5 +391,53 @@ func TestFlowTableSpillDeterminism(t *testing.T) {
 	b2 := readAll(t, p2)
 	if !bytes.Equal(b1, b2) {
 		t.Error("spill files differ across identical runs")
+	}
+}
+
+// TestFlowTableReentryExact: with a hot set of four flows and three
+// heavy-hitter slots, flows spill and re-enter the hot set within one
+// sample many times over, and their entries are recycled. The table's
+// per-frame shortcuts must still give exact answers: each sample's
+// flow count equals FlowsInSample (a flow spilled and re-entering
+// counts once), the heavy hitters equal a TopK fed every frame through
+// Add, and the cardinality estimate equals an HLL fed every frame.
+func TestFlowTableReentryExact(t *testing.T) {
+	corpus := equivCorpus(t, 13, 2, 2, 400)
+	hostileMutate(corpus)
+	d := NewDigester(DigestOptions{MaxHotFlows: 4, HeavyK: 3})
+	heavy := sketch.NewTopK[FlowKey](3, flowKeyLess, flowKeyHash)
+	hll := sketch.NewHLL(14)
+	var want []int
+	distinct := map[FlowKey]bool{}
+	for i, site := range corpus {
+		for _, smp := range site {
+			a := &Acap{Site: fmt.Sprint(i)}
+			d.StartSample(a.Site)
+			for _, f := range smp {
+				if err := d.Frame(f.ts, f.data, f.wireLen); err != nil {
+					t.Fatal(err)
+				}
+				rec := DigestFrame(f.ts, f.data, f.wireLen)
+				a.Records = append(a.Records, rec)
+				key := rec.Flow.Canonical()
+				distinct[key] = true
+				heavy.Add(key, 1)
+				hll.Add(appendFlowKeyBytes(nil, key))
+			}
+			d.EndSample()
+			want = append(want, FlowsInSample(a))
+		}
+	}
+	if spilled := d.Flows().SpilledFlows(); spilled < int64(2*len(distinct)) {
+		t.Fatalf("%d spills of %d flows: too few for flows to re-enter the hot set", spilled, len(distinct))
+	}
+	if got := d.SampleFlowCounts(); !slices.Equal(got, want) {
+		t.Errorf("SampleFlowCounts %v, FlowsInSample %v", got, want)
+	}
+	if got, want := d.Flows().HeavyHitters(0), heavy.Top(0); !reflect.DeepEqual(got, want) {
+		t.Errorf("HeavyHitters\n %+v\nTopK.Add replay\n %+v", got, want)
+	}
+	if got, _ := d.Flows().CardinalityEstimate(); got != hll.Count() {
+		t.Errorf("CardinalityEstimate %d, HLL fed every frame %d", got, hll.Count())
 	}
 }

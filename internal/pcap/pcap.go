@@ -158,6 +158,7 @@ func ForEachStream(s Stream, fn func(*Record) error) error {
 type Reader struct {
 	r      *bufio.Reader
 	hdr    FileHeader
+	rh     [recordHeaderLen]byte // in the Reader, so Next does not allocate it
 	buf    []byte
 	rec    Record
 	torn   bool
@@ -202,8 +203,8 @@ func (r *Reader) Torn() bool { return r.torn }
 // torn final record — see Torn). The returned record's Data slice is
 // reused by subsequent calls.
 func (r *Reader) Next() (*Record, error) {
-	var rh [recordHeaderLen]byte
-	if _, err := io.ReadFull(r.r, rh[:]); err != nil {
+	rh := r.rh[:]
+	if _, err := io.ReadFull(r.r, rh); err != nil {
 		if err == io.EOF {
 			return nil, io.EOF
 		}

@@ -325,3 +325,28 @@ func TestStreamInterface(t *testing.T) {
 		t.Fatalf("ForEachStream: n=%d err=%v", n, err)
 	}
 }
+
+// TestNextAllocFree: once its record buffer has grown to the largest
+// record, Next allocates nothing per record.
+func TestNextAllocFree(t *testing.T) {
+	var recs []Record
+	for i := 0; i < 300; i++ {
+		n := 200 - i%140 // the first record is the largest
+		recs = append(recs, Record{TimestampNanos: int64(i) * 1000, OriginalLength: n, Data: bytes.Repeat([]byte{byte(i)}, n)})
+	}
+	rd, err := NewReader(bytes.NewReader(writeFile(t, FileHeader{SnapLen: 256}, recs)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rd.Next(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, err := rd.Next(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Next allocates %.1f times per record, want 0", allocs)
+	}
+}

@@ -354,35 +354,54 @@ func (s *SpaceSaving) UnmarshalBinary(b []byte) error {
 // no serialized form; convert keys and use SpaceSaving when a summary
 // must cross a process boundary.
 //
-// The entries sit in a min-heap ordered by (count, less), each entry
-// holding its own heap position, so the eviction victim — SpaceSaving's
-// minimum-count, smallest-key entry — is the root: eviction is O(log k)
-// and reuses the victim's entry instead of allocating one.
+// The k entries live in fixed slots that sit in a min-heap ordered by
+// (count, less), each slot holding its own heap position, so the
+// eviction victim — SpaceSaving's minimum-count, smallest-key entry —
+// is the root: eviction hands the root slot to the newcomer in
+// O(log k). A caller that keeps the Handle AddAt returns for a key adds
+// to that key's slot without any lookup; the handle goes stale when the
+// slot is handed to another key, which AddAt detects. Find locates a
+// key's slot by scanning the slots' key hashes, so a summary holds no
+// map at all.
 type TopK[K comparable] struct {
-	k       int
-	entries map[K]*topKEntry[K]
-	heap    []*topKEntry[K]
-	n       uint64
-	less    func(a, b K) bool
+	k      int
+	slots  []topKSlot[K]
+	hashes []uint64 // hashes[i] is the hash of slots[i].key
+	heap   []int32  // slot indices
+	n      uint64
+	gen    uint64 // the last generation given to a slot
+	less   func(a, b K) bool
+	hash   func(K) uint64
 }
 
-type topKEntry[K comparable] struct {
+type topKSlot[K comparable] struct {
 	key        K
 	count, err uint64
-	pos        int
+	pos        int32  // index in heap
+	gen        uint64 // changes whenever the slot gets a new key
+}
+
+// Handle names the slot a key held when Find or AddAt returned it. The
+// zero Handle names no slot.
+type Handle struct {
+	slot int32
+	gen  uint64
 }
 
 // NewTopK returns a summary tracking at most k keys; less orders keys
-// for deterministic eviction tie-breaks.
-func NewTopK[K comparable](k int, less func(a, b K) bool) *TopK[K] {
+// for deterministic eviction tie-breaks, and hash is the key hash Add
+// passes to the handle path.
+func NewTopK[K comparable](k int, less func(a, b K) bool, hash func(K) uint64) *TopK[K] {
 	if k < 1 {
 		panic("sketch: TopK k must be positive")
 	}
 	return &TopK[K]{
-		k:       k,
-		entries: make(map[K]*topKEntry[K], k),
-		heap:    make([]*topKEntry[K], 0, k),
-		less:    less,
+		k:      k,
+		slots:  make([]topKSlot[K], 0, k),
+		hashes: make([]uint64, 0, k),
+		heap:   make([]int32, 0, k),
+		less:   less,
+		hash:   hash,
 	}
 }
 
@@ -391,29 +410,55 @@ func (s *TopK[K]) N() uint64 { return s.n }
 
 // Add records w occurrences of key.
 func (s *TopK[K]) Add(key K, w uint64) {
+	h := s.hash(key)
+	s.AddAt(s.Find(key, h), key, h, w)
+}
+
+// Find returns the handle of key's slot, or the zero Handle when key is
+// not tracked. hash must be key's hash.
+func (s *TopK[K]) Find(key K, hash uint64) Handle {
+	for i, h := range s.hashes {
+		if h == hash && s.slots[i].key == key {
+			return Handle{slot: int32(i), gen: s.slots[i].gen}
+		}
+	}
+	return Handle{}
+}
+
+// AddAt records w occurrences of key, whose hash is hash, and returns
+// key's handle. h must be the handle that Find or the previous AddAt
+// for key returned: while it is current the add touches only key's
+// slot; once stale, key is not tracked, and it takes a free slot or the
+// minimum-count slot as Add would.
+func (s *TopK[K]) AddAt(h Handle, key K, hash uint64, w uint64) Handle {
 	s.n += w
-	if e, ok := s.entries[key]; ok {
+	if h.gen != 0 && s.slots[h.slot].gen == h.gen {
+		e := &s.slots[h.slot]
 		e.count += w
-		s.down(e.pos)
-		return
+		s.down(int(e.pos))
+		return h
 	}
-	if len(s.heap) < s.k {
-		e := &topKEntry[K]{key: key, count: w, pos: len(s.heap)}
-		s.entries[key] = e
-		s.heap = append(s.heap, e)
-		s.up(e.pos)
-		return
+	s.gen++
+	if len(s.slots) < s.k {
+		i := int32(len(s.slots))
+		s.slots = append(s.slots, topKSlot[K]{key: key, count: w, pos: int32(len(s.heap)), gen: s.gen})
+		s.hashes = append(s.hashes, hash)
+		s.heap = append(s.heap, i)
+		s.up(len(s.heap) - 1)
+		return Handle{slot: i, gen: s.gen}
 	}
-	e := s.heap[0]
-	delete(s.entries, e.key)
-	e.key, e.err = key, e.count
+	i := s.heap[0]
+	e := &s.slots[i]
+	e.key, e.err, e.gen = key, e.count, s.gen
 	e.count += w
-	s.entries[key] = e
+	s.hashes[i] = hash
 	s.down(0)
+	return Handle{slot: i, gen: s.gen}
 }
 
 // before orders heap entries: lower count first, then the less order.
-func (s *TopK[K]) before(a, b *topKEntry[K]) bool {
+func (s *TopK[K]) before(i, j int32) bool {
+	a, b := &s.slots[i], &s.slots[j]
 	if a.count != b.count {
 		return a.count < b.count
 	}
@@ -422,8 +467,8 @@ func (s *TopK[K]) before(a, b *topKEntry[K]) bool {
 
 func (s *TopK[K]) swap(i, j int) {
 	s.heap[i], s.heap[j] = s.heap[j], s.heap[i]
-	s.heap[i].pos = i
-	s.heap[j].pos = j
+	s.slots[s.heap[i]].pos = int32(i)
+	s.slots[s.heap[j]].pos = int32(j)
 }
 
 // up sifts a newly appended heap[i] toward the root.
@@ -468,7 +513,8 @@ type HeavyK[K comparable] struct {
 // broken by the less order ascending. n <= 0 returns all entries.
 func (s *TopK[K]) Top(n int) []HeavyK[K] {
 	out := make([]HeavyK[K], 0, len(s.heap))
-	for _, e := range s.heap {
+	for _, i := range s.heap {
+		e := &s.slots[i]
 		out = append(out, HeavyK[K]{Key: e.key, Count: e.count, Err: e.err})
 	}
 	sort.Slice(out, func(i, j int) bool {

@@ -282,7 +282,7 @@ func FuzzSketchMerge(f *testing.F) {
 
 		k := 1 + int(split>>5)
 		ss := NewSpaceSaving(k)
-		tk := NewTopK[string](k, func(a, b string) bool { return a < b })
+		tk := NewTopK[string](k, stringLess, stringHash)
 		for _, it := range items {
 			ss.Add(string(it))
 			tk.Add(string(it), 1)
@@ -305,20 +305,44 @@ func requireTopKEqual(t *testing.T, ss *SpaceSaving, tk *TopK[string]) {
 	}
 }
 
+func stringLess(a, b string) bool { return a < b }
+
+func stringHash(s string) uint64 { return Hash64([]byte(s)) }
+
+// collidingHash gives many keys one hash, so Find must tell them apart
+// by the key itself.
+func collidingHash(s string) uint64 { return uint64(len(s) % 2) }
+
 func TestTopKMatchesSpaceSaving(t *testing.T) {
 	// On the same stream, TopK[string] with lexicographic less must
 	// behave exactly like the string SpaceSaving: the heap must evict the
 	// entry the scan picks, at any capacity and with weighted adds
-	// (weight 0 included, which ties a newcomer with its victim).
+	// (weight 0 included, which ties a newcomer with its victim). That
+	// holds for Add and for the handle path as the flow table drives it:
+	// a key's handle is kept while the key is cached, and a key entering
+	// the cache finds its slot by hash. Keys leave the cache at random,
+	// so re-entering keys find slots they still hold, and with the
+	// colliding hash Find must compare keys.
 	for _, tc := range []struct {
 		k        int
 		weighted bool
-	}{{1, false}, {1, true}, {5, false}, {5, true}, {64, true}} {
-		t.Run(fmt.Sprintf("k=%d/weighted=%v", tc.k, tc.weighted), func(t *testing.T) {
+		hash     func(string) uint64
+	}{
+		{1, false, stringHash}, {1, true, stringHash}, {5, false, stringHash},
+		{5, true, stringHash}, {64, false, stringHash}, {64, true, stringHash},
+		{1, true, collidingHash}, {5, true, collidingHash}, {64, true, collidingHash},
+	} {
+		name := fmt.Sprintf("k=%d/weighted=%v", tc.k, tc.weighted)
+		if tc.hash("ab") == tc.hash("cd") {
+			name += "/colliding"
+		}
+		t.Run(name, func(t *testing.T) {
 			ss := NewSpaceSaving(tc.k)
-			tk := NewTopK[string](tc.k, func(a, b string) bool { return a < b })
+			tk := NewTopK[string](tc.k, stringLess, tc.hash)
+			th := NewTopK[string](tc.k, stringLess, tc.hash)
+			cache := map[string]Handle{}
 			rng := rand.New(rand.NewSource(9))
-			for i := 0; i < 2000; i++ {
+			for i := 0; i < 4000; i++ {
 				key := fmt.Sprintf("k%d", rng.Intn(40*tc.k))
 				w := uint64(1)
 				if tc.weighted {
@@ -326,8 +350,17 @@ func TestTopKMatchesSpaceSaving(t *testing.T) {
 				}
 				ss.AddWeighted(key, w)
 				tk.Add(key, w)
+				h, ok := cache[key]
+				if !ok {
+					h = th.Find(key, tc.hash(key))
+				}
+				cache[key] = th.AddAt(h, key, tc.hash(key), w)
+				if rng.Intn(4) == 0 {
+					delete(cache, key)
+				}
 			}
 			requireTopKEqual(t, ss, tk)
+			requireTopKEqual(t, ss, th)
 		})
 	}
 }

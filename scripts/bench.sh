@@ -13,8 +13,9 @@
 #                           the lane profiler's own estimate and parallel
 #                           efficiency
 #   BENCH_analysis.json     streaming analysis pipeline: streamed vs
-#                           materialized digest (B/op, flows/sec) and
-#                           the GOMEMLIMIT-bounded peak heap of a
+#                           materialized digest (B/op, flows/sec), the
+#                           digest fold alone (ns/frame) and the
+#                           GOMEMLIMIT-bounded peak heap of a
 #                           Fig13-scale streamed digest
 #   BENCH_storefault.json   storage seam overhead: journal-line and
 #                           flowstore-block writes raw vs through the
@@ -149,6 +150,10 @@ echo "== streaming analysis: streamed vs materialized digest =="
 # count is the measurement (same reasoning as the experiment suite).
 go test -run '^$' -bench '^Benchmark(Streamed|Materialized)FlowDigest$' \
     -benchmem -benchtime 1x -count "$count" . | tee "$tmp/analysis.txt"
+# The digest fold alone: its corpus is built before the timer starts,
+# so it runs at the default benchtime.
+go test -run '^$' -bench '^BenchmarkDigestFold$' -benchmem \
+    ${benchtime:+-benchtime $benchtime} -count "$count" . | tee -a "$tmp/analysis.txt"
 
 # Bounded-memory gate: a Fig13-scale streamed digest runs with the Go
 # heap pinned to 64 MiB; the test fails if peak HeapAlloc exceeds the

@@ -14,7 +14,11 @@
 # be byte-identical at GOMAXPROCS 1 and 4, repeated under the race
 # detector), a window prefetch gate (traffic windows built one ahead on
 # goroutines must cross the switch exactly as the reference driver's at
-# GOMAXPROCS 1 and 4, repeated under the race detector), a
+# GOMAXPROCS 1 and 4, repeated under the race detector), an acap
+# writer gate (pwanalyze encodes acaps on a goroutine beside its digest
+# walk: its output tree must be byte-identical at GOMAXPROCS 1 and 4,
+# and a failed acap write or capture read must join the writer,
+# repeated under the race detector), a
 # streaming-analytics equivalence gate (the single-pass digester and
 # the materialized in-memory pipeline must agree byte-for-byte on every
 # CSV and figure artifact, spilling included), and a
@@ -73,6 +77,12 @@ go test -race -count=10 -run '^TestHarvestSchedulingIndependent$' ./internal/cor
 # one window ahead, so their transits must match the reference driver
 # at GOMAXPROCS 1 and 4, across a restart with a build in flight.
 go test -race -count=10 -run '^TestDriver' ./internal/core
+
+# Acap writer gate: pwanalyze hands digested records in batches to an
+# encoder goroutine, so its output tree must not depend on scheduling
+# (spilling, torn and empty captures included), and every failure must
+# come back from run with the writer joined and its files closed.
+go test -race -count=5 -run '^(TestRunMatchesInMemoryPipeline|TestAcapMatchesDigest|TestTornCaptureSurfaced|TestOutputIndependentOfGOMAXPROCS|TestAcapWriteFailureJoinsWriter)$' ./cmd/pwanalyze
 
 # Streaming-analytics equivalence gate: streamed digest vs materialized
 # baseline on clean and hostile corpora, and the streamed acap encoder

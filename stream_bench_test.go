@@ -77,6 +77,65 @@ func BenchmarkStreamedFlowDigest(b *testing.B) {
 	}
 }
 
+// BenchmarkDigestFold times the digester's fold alone. The corpus is
+// the streamed pair's frames, cut to the snap length and generated
+// before the timer starts; each iteration digests all of it into a
+// fresh Digester.
+func BenchmarkDigestFold(b *testing.B) {
+	type frame struct {
+		at      int64
+		data    []byte
+		wireLen int
+	}
+	var (
+		samples [][]frame
+		sites   []string
+		stored  []byte
+		tfs     []trafficgen.TimedFrame
+	)
+	profiles := trafficgen.MakeSiteProfiles(2, 30)[:streamBenchSites]
+	arena := trafficgen.NewFrameArena()
+	for pi, p := range profiles {
+		g := trafficgen.NewGenerator(p, 1000+uint64(pi))
+		for s := 0; s < streamBenchSamples; s++ {
+			arena.Reset()
+			var err error
+			tfs, err = g.SampleInto(streamBenchConfig(), tfs[:0], arena.Alloc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			smp := make([]frame, len(tfs))
+			for i, tf := range tfs {
+				n := min(len(tf.Data), streamBenchSnap)
+				if cap(stored)-len(stored) < n {
+					stored = make([]byte, 0, 1<<20)
+				}
+				stored = append(stored, tf.Data[:n]...)
+				smp[i] = frame{int64(tf.At), stored[len(stored)-n:], len(tf.Data)}
+			}
+			samples = append(samples, smp)
+			sites = append(sites, p.Site)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var frames int
+	for i := 0; i < b.N; i++ {
+		d := analysis.NewDigester(analysis.DigestOptions{MaxHotFlows: 4096})
+		for j, smp := range samples {
+			d.StartSample(sites[j])
+			for _, f := range smp {
+				if err := d.Frame(f.at, f.data, f.wireLen); err != nil {
+					b.Fatal(err)
+				}
+			}
+			d.EndSample()
+		}
+		frames = d.Frames()
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(frames*b.N), "ns/frame")
+}
+
 // BenchmarkMaterializedFlowDigest is the pre-rework baseline: heap
 // frames from Sample, one acap record per frame, in-memory fold.
 func BenchmarkMaterializedFlowDigest(b *testing.B) {
