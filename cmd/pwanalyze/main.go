@@ -7,10 +7,11 @@
 // through the digester frame by frame, each frame is decoded once, and
 // the flow table spills cold flows to a columnar flow store (flows.pwfs)
 // that doubles as the /api/flows query artifact. Only the hot flow
-// working set is ever resident. The frames' acap records go, in a few
-// recycled batches, to an encoder goroutine that writes the acaps and
-// their index entries in capture order while the walk reads and digests
-// the next frames.
+// working set is ever resident. Three goroutines share the work, in
+// capture order: the walk reads and decodes each frame into its acap
+// record, a fold goroutine folds the records into the digester, and a
+// writer goroutine encodes the acaps and their index entries. Records
+// pass between them in a few recycled batches.
 //
 // Usage:
 //
@@ -18,6 +19,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io/fs"
@@ -113,12 +115,17 @@ func run(in, out string, hotMax int, verbose bool) (torn []string, err error) {
 	d := analysis.NewDigester(analysis.DigestOptions{MaxHotFlows: hotMax, Spill: spill})
 
 	// Digest: one acap (and one digester sample) per pcap, site taken
-	// from the parent directory. Each frame is decoded once, by the
-	// digester, which folds every streamed statistic — frame sizes,
-	// header stacks, flows, TCP flags — and hands back the frame's acap
-	// record; the records travel in batches to the acap writer.
-	aw := startAcapWriter()
-	b := <-aw.free
+	// from the parent directory. The walk decodes each frame once, into
+	// its acap record, and hands the records on in batches: the fold
+	// goroutine folds every streamed statistic from them — frame sizes,
+	// header stacks, flows, TCP flags — and the writer goroutine encodes
+	// the acaps.
+	p := startPipeline(d)
+	b := <-p.free
+	var dec analysis.Decoder
+	// One read buffer serves every capture: pcap.NewReader takes it as
+	// it is.
+	br := bufio.NewReaderSize(nil, pcap.ReadBufferSize)
 	var captures int
 	err = filepath.WalkDir(in, func(path string, de fs.DirEntry, err error) error {
 		if err != nil || de.IsDir() || !strings.HasSuffix(path, ".pcap") {
@@ -130,26 +137,23 @@ func run(in, out string, hotMax int, verbose bool) (torn []string, err error) {
 			return err
 		}
 		defer f.Close()
-		rd, err := pcap.NewReader(f)
+		br.Reset(f)
+		rd, err := pcap.NewReader(br)
 		if err != nil {
 			return fmt.Errorf("%s: %w", path, err)
 		}
 		captures++
 		acapPath := filepath.Join(acapDir, fmt.Sprintf("%s-%03d.json", site, captures))
 		b.site, b.path, b.first = site, acapPath, true
-		d.StartSample(site)
 		err = rd.ForEach(func(rec *pcap.Record) error {
-			if err := d.Frame(rec.TimestampNanos, rec.Data, rec.OriginalLength); err != nil {
-				return err
-			}
 			if b.full() {
-				next, err := aw.handOff(b)
+				next, err := p.handOff(b)
 				if err != nil {
 					return err
 				}
 				b = next
 			}
-			b.add(d.Record())
+			b.add(dec.Decode(rec.TimestampNanos, rec.Data, rec.OriginalLength))
 			return nil
 		})
 		if err != nil {
@@ -158,15 +162,15 @@ func run(in, out string, hotMax int, verbose bool) (torn []string, err error) {
 		if rd.Torn() {
 			torn = append(torn, path)
 		}
-		b.last, b.flows = true, d.EndSample()
-		b, err = aw.handOff(b)
+		b.last = true
+		b, err = p.handOff(b)
 		return err
 	})
-	// Join the writer whether or not the walk failed. Its error comes
-	// first: it concerns records the walk had already handed off, so it
-	// is the earlier failure in capture order.
-	if werr := aw.close(); werr != nil {
-		return nil, werr
+	// Join the fold and the writer whether or not the walk failed. A
+	// failure of theirs comes first: it concerns records the walk had
+	// already handed off, so it is the earlier in capture order.
+	if perr := p.close(); perr != nil {
+		return nil, perr
 	}
 	if err != nil {
 		return nil, err
@@ -174,7 +178,7 @@ func run(in, out string, hotMax int, verbose bool) (torn []string, err error) {
 	if captures == 0 {
 		return nil, fmt.Errorf("no .pcap files under %s", in)
 	}
-	index := aw.index
+	index := p.index
 
 	// Flush the remaining hot flows so flows.pwfs is a complete record,
 	// then reopen it read-only for the exact aggregate merge.

@@ -349,11 +349,12 @@ func readTree(t *testing.T, root string) map[string][]byte {
 	return files
 }
 
-// TestOutputIndependentOfGOMAXPROCS: the acap writer runs beside the
-// walk, so the whole output tree (acaps, index.json, flows.pwfs and the
-// CSVs) must be byte-identical however the two goroutines are
-// scheduled, with spilling forced, captures spanning several record
-// batches, and torn and empty captures present.
+// TestOutputIndependentOfGOMAXPROCS: the walk, the fold and the acap
+// writer run on three goroutines, so the whole output tree (acaps,
+// index.json, flows.pwfs and the CSVs) must be byte-identical however
+// they are scheduled, with spilling forced, captures spanning several
+// record batches, and torn and empty captures present; and the CSVs
+// must be the in-memory pipeline's.
 func TestOutputIndependentOfGOMAXPROCS(t *testing.T) {
 	in := writeCorpusFlows(t, 9, 2, 2, 6000, 200)
 	paths := capturePaths(t, in)
@@ -362,33 +363,41 @@ func TestOutputIndependentOfGOMAXPROCS(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 
 	tmp := t.TempDir()
-	// Both runs write to the same -out, so index.json's paths agree.
+	// Every run writes to the same -out, so index.json's paths agree.
 	out := filepath.Join(tmp, "out")
+	procs := []int{1, 2, 4}
 	var trees []map[string][]byte
-	for _, procs := range []int{1, 4} {
-		runtime.GOMAXPROCS(procs)
+	for _, n := range procs {
+		runtime.GOMAXPROCS(n)
 		torn, err := run(in, out, 64, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(torn) != 1 {
-			t.Fatalf("GOMAXPROCS %d: torn = %v, want one capture", procs, torn)
+			t.Fatalf("GOMAXPROCS %d: torn = %v, want one capture", n, torn)
 		}
 		trees = append(trees, readTree(t, out))
-		if err := os.Rename(out, filepath.Join(tmp, fmt.Sprintf("out-%d", procs))); err != nil {
+		if err := os.Rename(out, filepath.Join(tmp, fmt.Sprintf("out-%d", n))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	a, b := trees[0], trees[1]
-	if len(a["acaps/"+filepath.Base(filepath.Dir(paths[0]))+"-001.json"]) < 2*acapBatchRecords*100 {
+	a := trees[0]
+	if len(a["acaps/"+filepath.Base(filepath.Dir(paths[0]))+"-001.json"]) < 2*batchRecords*100 {
 		t.Fatalf("the first acap is too small to span several record batches")
 	}
-	if len(a) != len(b) {
-		t.Fatalf("GOMAXPROCS 1 wrote %d files, 4 wrote %d", len(a), len(b))
+	for i, b := range trees[1:] {
+		if len(a) != len(b) {
+			t.Fatalf("GOMAXPROCS 1 wrote %d files, %d wrote %d", len(a), procs[i+1], len(b))
+		}
+		for name, data := range a {
+			if !bytes.Equal(data, b[name]) {
+				t.Errorf("%s differs between GOMAXPROCS 1 and %d", name, procs[i+1])
+			}
+		}
 	}
-	for name, data := range a {
-		if !bytes.Equal(data, b[name]) {
-			t.Errorf("%s differs between GOMAXPROCS 1 and 4", name)
+	for name, want := range baselineCSVs(t, in) {
+		if !bytes.Equal(a[name], want) {
+			t.Errorf("%s differs from the in-memory baseline\n--- run ---\n%s\n--- baseline ---\n%s", name, a[name], want)
 		}
 	}
 }
@@ -409,10 +418,11 @@ func openFilesUnder(dir string) (paths []string, ok bool) {
 	return paths, true
 }
 
-// requireWriterJoined fails if an acap file outlived run, or an acap
-// writer goroutine outlives it by more than its exit: run waits for the
-// writer's last act, so the goroutine may still be returning.
-func requireWriterJoined(t *testing.T, out string) {
+// requireStagesJoined fails if a file under out outlived run, or the
+// fold or writer goroutine outlives it by more than its exit: run waits
+// for each goroutine's last act, so it may still be returning. The walk
+// is run's own goroutine.
+func requireStagesJoined(t *testing.T, out string) {
 	t.Helper()
 	if open, ok := openFilesUnder(out); ok && len(open) > 0 {
 		t.Fatalf("files left open under the output: %v", open)
@@ -420,42 +430,64 @@ func requireWriterJoined(t *testing.T, out string) {
 	buf := make([]byte, 1<<20)
 	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
 		stacks := string(buf[:runtime.Stack(buf, true)])
-		if !strings.Contains(stacks, "(*acapWriter).loop") {
+		if !strings.Contains(stacks, "(*pipeline).foldLoop") && !strings.Contains(stacks, "(*pipeline).writeLoop") {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("the acap writer outlived run:\n%s", stacks)
+			t.Fatalf("a stage of the pipeline outlived run:\n%s", stacks)
 		}
 	}
 }
 
-// TestAcapWriteFailureJoinsWriter: an acap that cannot be written fails
-// run with the write's error, whichever capture it is and whether or
-// not the walk is still reading, and run returns only after the writer
-// goroutine has ended and closed its files. A walk that fails on its
-// own, mid-capture, joins the writer likewise.
-func TestAcapWriteFailureJoinsWriter(t *testing.T) {
+// requireDevFull skips the test where /dev/full cannot fail writes.
+func requireDevFull(t *testing.T) {
+	t.Helper()
 	if _, err := os.Stat("/dev/full"); err != nil {
 		t.Skip("needs /dev/full to fail writes")
 	}
+}
+
+// failWrites makes every write to path fail with ENOSPC, by linking it
+// to /dev/full.
+func failWrites(t *testing.T, path string) {
+	t.Helper()
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Symlink("/dev/full", path); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// acapPath is the acap run writes for the capture-th of paths.
+func acapPath(out string, paths []string, capture int) string {
+	site := filepath.Base(filepath.Dir(paths[capture-1]))
+	return filepath.Join(out, "acaps", fmt.Sprintf("%s-%03d.json", site, capture))
+}
+
+// isStoreFailure reports whether err is the flow store's ENOSPC.
+func isStoreFailure(err error) bool {
+	return errors.Is(err, syscall.ENOSPC) && strings.HasPrefix(err.Error(), "flowstore:")
+}
+
+// TestAcapWriteFailureJoinsWriter: an acap that cannot be written fails
+// run with the write's error, whichever capture it is and whether or
+// not the walk is still reading, and run returns only after the fold
+// and writer goroutines have ended and the writer has closed its files.
+// A walk that fails on its own, mid-capture, joins them likewise.
+func TestAcapWriteFailureJoinsWriter(t *testing.T) {
+	requireDevFull(t)
 	in := writeCorpusFlows(t, 17, 2, 2, 6000, 200)
 	paths := capturePaths(t, in)
 	for _, capture := range []int{1, 3, len(paths)} {
 		t.Run(fmt.Sprintf("acap-%d", capture), func(t *testing.T) {
 			out := t.TempDir()
-			acaps := filepath.Join(out, "acaps")
-			if err := os.MkdirAll(acaps, 0o755); err != nil {
-				t.Fatal(err)
-			}
-			name := fmt.Sprintf("%s-%03d.json", filepath.Base(filepath.Dir(paths[capture-1])), capture)
-			if err := os.Symlink("/dev/full", filepath.Join(acaps, name)); err != nil {
-				t.Fatal(err)
-			}
+			failWrites(t, acapPath(out, paths, capture))
 			_, err := run(in, out, 64, false)
 			if !errors.Is(err, syscall.ENOSPC) {
 				t.Fatalf("run returned %v, want the acap's ENOSPC", err)
 			}
-			requireWriterJoined(t, out)
+			requireStagesJoined(t, out)
 		})
 	}
 
@@ -470,9 +502,9 @@ func TestAcapWriteFailureJoinsWriter(t *testing.T) {
 		off := 24
 		for i := 0; ; i++ {
 			if off+16 > len(data) {
-				t.Fatalf("%s holds fewer than %d records", paths[0], acapBatchRecords+11)
+				t.Fatalf("%s holds fewer than %d records", paths[0], batchRecords+11)
 			}
-			if i == acapBatchRecords+10 {
+			if i == batchRecords+10 {
 				break
 			}
 			off += 16 + int(binary.LittleEndian.Uint32(data[off+8:]))
@@ -485,6 +517,87 @@ func TestAcapWriteFailureJoinsWriter(t *testing.T) {
 		if _, err := run(in, out, 64, false); err == nil || !strings.Contains(err.Error(), "exceeds snap length") {
 			t.Fatalf("run returned %v, want the walk's read error", err)
 		}
-		requireWriterJoined(t, out)
+		requireStagesJoined(t, out)
 	})
+}
+
+// storeFailureHot is the hot-flow budget at which the spills of
+// storeFailureCorpus fill the flow store's 64 KiB buffer mid-corpus.
+const storeFailureHot = 128
+
+// storeFailureCorpus is six captures of 200 flows each.
+func storeFailureCorpus(t *testing.T) (in string, paths []string) {
+	in = writeCorpusFlows(t, 17, 3, 2, 6000, 200)
+	return in, capturePaths(t, in)
+}
+
+// TestSpillFailureFailsRun: a flow-store write that fails while the
+// walk is still reading comes back from run as the store's error, and
+// run returns only after the fold and writer goroutines have ended and
+// closed their files.
+func TestSpillFailureFailsRun(t *testing.T) {
+	requireDevFull(t)
+	in, paths := storeFailureCorpus(t)
+	out := t.TempDir()
+	failWrites(t, filepath.Join(out, "flows.pwfs"))
+	_, err := run(in, out, storeFailureHot, false)
+	if !isStoreFailure(err) {
+		t.Fatalf("run returned %v, want the flow store's ENOSPC", err)
+	}
+	requireStagesJoined(t, out)
+	// The writer writes no batch past the failed one, so a failure
+	// during the walk leaves the last capture's acap unwritten.
+	if _, err := os.Stat(acapPath(out, paths, len(paths))); err == nil {
+		t.Fatalf("every acap was written: the store failed only after the walk")
+	}
+}
+
+// TestEarlierBatchFailureWins: with an acap write and a spill both
+// failing, run returns the failure on the earlier batch, whichever
+// stage it is in, and joins both goroutines.
+func TestEarlierBatchFailureWins(t *testing.T) {
+	requireDevFull(t)
+	in, paths := storeFailureCorpus(t)
+
+	// Where the spill fails alone: the writer creates an acap for each
+	// capture up to the failing batch's, so the spill fails within the
+	// last capture with an acap, or the one after it.
+	out := t.TempDir()
+	failWrites(t, filepath.Join(out, "flows.pwfs"))
+	if _, err := run(in, out, storeFailureHot, false); !isStoreFailure(err) {
+		t.Fatalf("run returned %v, want the flow store's ENOSPC", err)
+	}
+	requireStagesJoined(t, out)
+	acaps, err := filepath.Glob(filepath.Join(out, "acaps", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if k := len(acaps); k < 2 || k+1 >= len(paths) {
+		t.Fatalf("the spill fails in capture %d or %d of %d; want it strictly between the first and the last", k, k+1, len(paths))
+	}
+
+	for _, tc := range []struct {
+		capture   int
+		acapFirst bool
+	}{
+		{1, true},           // fails in its first batch, before any spill fails
+		{len(paths), false}, // fails in a capture after the spill's
+	} {
+		t.Run(fmt.Sprintf("acap-%d", tc.capture), func(t *testing.T) {
+			out := t.TempDir()
+			failWrites(t, filepath.Join(out, "flows.pwfs"))
+			acap := acapPath(out, paths, tc.capture)
+			failWrites(t, acap)
+			_, err := run(in, out, storeFailureHot, false)
+			var pe *fs.PathError
+			acapFailed := errors.As(err, &pe) && pe.Path == acap && errors.Is(err, syscall.ENOSPC)
+			switch {
+			case tc.acapFirst && !acapFailed:
+				t.Errorf("run returned %v, want the write of %s", err, acap)
+			case !tc.acapFirst && !isStoreFailure(err):
+				t.Errorf("run returned %v, want the flow store's ENOSPC", err)
+			}
+			requireStagesJoined(t, out)
+		})
+	}
 }

@@ -69,6 +69,9 @@ type Record struct {
 	// DecodeTruncated marks frames whose decode stopped at the snap
 	// length (expected for deep payloads under truncation).
 	DecodeTruncated bool
+	// TCP describes the frame's first TCP layer, if it has one, for the
+	// TCP flag tally. The acap does not carry it.
+	TCP TCPSummary
 }
 
 // Acap is the digest of one capture sample: an abstract capture.
@@ -101,33 +104,57 @@ func Digest(site string, r *pcap.Reader) (*Acap, error) {
 
 // DigestFrame dissects one frame into a Record.
 func DigestFrame(tsNanos int64, data []byte, wireLen int) Record {
-	pkt := wire.NewPacket(data, wire.LayerTypeEthernet, wire.Default)
-	return frameRecord(pkt, pkt.LayerTypes(), extractFlowKey(pkt.Layers()), tsNanos, len(data), wireLen)
+	var dc Decoder
+	return *dc.Decode(tsNanos, data, wireLen)
 }
 
-// frameRecord builds the Record of a frame already decoded into pkt;
-// stack is its header stack and is stored, not copied, and key its flow
-// key.
-func frameRecord(pkt *wire.Packet, stack []wire.LayerType, key FlowKey, tsNanos int64, storedLen, wireLen int) Record {
-	fail := pkt.ErrorLayer()
-	return Record{
+// Decoder turns frames into acap records: one pooled wire.Packet
+// decodes each frame in place, and one pass over its layers yields the
+// header stack, the flow key and the TCP summary. Once its buffers have
+// grown, decoding allocates nothing beyond the wire decode itself. The
+// zero Decoder is ready to use. Not safe for concurrent use.
+type Decoder struct {
+	pkt   wire.Packet
+	stack []wire.LayerType
+	rec   Record
+}
+
+// Decode decodes one frame: data is the stored (possibly truncated)
+// bytes, wireLen the original on-wire length. data is only read during
+// the call. The record and its Stack are borrowed: the next Decode
+// overwrites them.
+func (dc *Decoder) Decode(tsNanos int64, data []byte, wireLen int) *Record {
+	// NoCopy is safe: nothing below retains layer or data references
+	// past the call.
+	dc.pkt.Reset(data, wire.LayerTypeEthernet, wire.NoCopy)
+	layers := dc.pkt.Layers()
+	if cap(dc.stack) < len(layers) {
+		dc.stack = make([]wire.LayerType, 0, len(layers))
+	}
+	dc.stack = dc.stack[:0]
+	var key FlowKey
+	var tcp TCPSummary
+	for _, l := range layers {
+		t := l.LayerType()
+		dc.stack = append(dc.stack, t)
+		if t == wire.LayerTypeTCP && !tcp.Present {
+			if seg, ok := l.(*wire.TCP); ok {
+				tcp = summarizeTCP(seg)
+			}
+		}
+		key.add(l)
+	}
+	fail := dc.pkt.ErrorLayer()
+	dc.rec = Record{
 		TimestampNanos:  tsNanos,
 		WireLen:         wireLen,
-		StoredLen:       storedLen,
-		Stack:           stack,
+		StoredLen:       len(data),
+		Stack:           dc.stack,
 		Flow:            key,
 		DecodeTruncated: fail != nil && wire.IsTruncated(fail.Error()),
+		TCP:             tcp,
 	}
-}
-
-// extractFlowKey pulls the virtualization tags and first network and
-// transport fields from a decoded layer stack.
-func extractFlowKey(layers []wire.Layer) FlowKey {
-	var k FlowKey
-	for _, l := range layers {
-		k.add(l)
-	}
-	return k
+	return &dc.rec
 }
 
 // add folds the next layer of a stack, outermost first, into the key.

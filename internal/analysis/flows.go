@@ -36,13 +36,25 @@ func CountTCPFlags(frames [][]byte) TCPFlagCounts {
 		if tl == nil {
 			continue
 		}
-		out.add(tl.(*wire.TCP))
+		out.add(summarizeTCP(tl.(*wire.TCP)))
 	}
 	return out
 }
 
+// TCPSummary is what the flag tally needs of a frame's first TCP layer.
+type TCPSummary struct {
+	Present bool          // the frame has a TCP layer
+	Flags   wire.TCPFlags // its flags
+	Empty   bool          // it carries no payload
+}
+
+// summarizeTCP summarizes one TCP segment.
+func summarizeTCP(tcp *wire.TCP) TCPSummary {
+	return TCPSummary{Present: true, Flags: tcp.Flags, Empty: len(tcp.LayerPayload()) == 0}
+}
+
 // add tallies one TCP segment.
-func (c *TCPFlagCounts) add(tcp *wire.TCP) {
+func (c *TCPFlagCounts) add(tcp TCPSummary) {
 	c.Segments++
 	switch {
 	case tcp.Flags&wire.TCPRst != 0:
@@ -55,7 +67,7 @@ func (c *TCPFlagCounts) add(tcp *wire.TCP) {
 	if tcp.Flags&wire.TCPFin != 0 {
 		c.Fin++
 	}
-	if tcp.Flags == wire.TCPAck && len(tcp.LayerPayload()) == 0 {
+	if tcp.Flags == wire.TCPAck && tcp.Empty {
 		c.PureAck++
 	}
 }

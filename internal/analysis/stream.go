@@ -48,9 +48,7 @@ type DigestOptions struct {
 type Digester struct {
 	opt DigestOptions
 
-	pkt      wire.Packet
-	stackBuf []wire.LayerType
-	rec      Record
+	dec Decoder // Frame's
 
 	frames    int
 	truncated int
@@ -141,9 +139,22 @@ func (d *Digester) EndSample() int {
 // Frame digests one frame: data is the stored (possibly truncated)
 // bytes, wireLen the original on-wire length. The data slice is only
 // read during the call and may be reused by the caller afterwards.
-// StartSample must have been called. The frame's acap record is then
-// available from Record, from the same decode.
+// StartSample must have been called. Frame is a Decode and a Fold; the
+// frame's acap record is then available from Record.
 func (d *Digester) Frame(tsNanos int64, data []byte, wireLen int) error {
+	return d.Fold(d.dec.Decode(tsNanos, data, wireLen))
+}
+
+// Record returns the acap record of the frame last passed to Frame:
+// what DigestFrame returns for the same frame. The record and its Stack
+// are borrowed: the next Frame overwrites them.
+func (d *Digester) Record() *Record { return &d.dec.rec }
+
+// Fold folds one decoded frame into every statistic: the frame sizes,
+// the header and site counters, the encapsulation census, the TCP flags
+// and the flow table. It reads only r, and only during the call.
+// StartSample must have been called.
+func (d *Digester) Fold(r *Record) error {
 	if d.curSite == nil {
 		return fmt.Errorf("analysis: Frame before StartSample")
 	}
@@ -152,32 +163,27 @@ func (d *Digester) Frame(tsNanos int64, data []byte, wireLen int) error {
 	sa.frames++
 
 	// Size statistics (by original wire length, as the in-memory pass).
-	sb := sizeBucket(wireLen)
+	sb := sizeBucket(r.WireLen)
 	d.sizeHist[sb]++
 	sa.sizeHist[sb]++
-	if wireLen > JumboThreshold {
+	if r.WireLen > JumboThreshold {
 		d.jumbo++
 		sa.jumbo++
 	}
-
-	// One decode per frame through the pooled packet. NoCopy is safe:
-	// nothing below retains layer or data references past the call.
-	d.pkt.Reset(data, wire.LayerTypeEthernet, wire.NoCopy)
-	layers := d.pkt.Layers()
-	if len(layers) > sa.maxDepth {
-		sa.maxDepth = len(layers)
+	if len(r.Stack) > sa.maxDepth {
+		sa.maxDepth = len(r.Stack)
+	}
+	if r.DecodeTruncated {
+		d.truncated++
+	}
+	if r.TCP.Present {
+		d.flags.add(r.TCP)
 	}
 
-	// One pass over the layers yields the header stack, the census key,
-	// the header and site counters, the TCP flags (CountTCPFlags
-	// semantics: the first TCP layer) and the flow key.
-	d.stackBuf = d.stackBuf[:0]
+	// One pass over the stack yields the census key and the header and
+	// site counters.
 	d.censusKey = d.censusKey[:0]
-	var key FlowKey
-	sawTCP := false
-	for _, l := range layers {
-		t := l.LayerType()
-		d.stackBuf = append(d.stackBuf, t)
+	for _, t := range r.Stack {
 		d.censusKey = append(d.censusKey, byte(t))
 		d.headerCounts[t]++
 		if !sa.distinct[t] {
@@ -191,18 +197,9 @@ func (d *Digester) Frame(tsNanos int64, data []byte, wireLen int) error {
 			sa.v6++
 		case wire.LayerTypeTCP:
 			sa.tcp++
-			if tcp, ok := l.(*wire.TCP); ok && !sawTCP {
-				sawTCP = true
-				d.flags.add(tcp)
-			}
 		case wire.LayerTypeUDP:
 			sa.udp++
 		}
-		key.add(l)
-	}
-	d.rec = frameRecord(&d.pkt, d.stackBuf, key, tsNanos, len(data), wireLen)
-	if d.rec.DecodeTruncated {
-		d.truncated++
 	}
 	// string(censusKey) in a lookup does not allocate; only a new
 	// pattern stores its key and builds its name.
@@ -210,17 +207,12 @@ func (d *Digester) Frame(tsNanos int64, data []byte, wireLen int) error {
 		d.patterns[i].Frames++
 	} else {
 		d.census[string(d.censusKey)] = len(d.patterns)
-		d.patterns = append(d.patterns, StackPattern{Pattern: stackName(d.stackBuf), Frames: 1})
+		d.patterns = append(d.patterns, StackPattern{Pattern: stackName(r.Stack), Frames: 1})
 	}
 
 	// Flow accounting on the canonical key.
-	return d.flows.Observe(key.Canonical(), tsNanos, wireLen)
+	return d.flows.Observe(r.Flow.Canonical(), r.TimestampNanos, r.WireLen)
 }
-
-// Record returns the acap record of the frame last passed to Frame:
-// what DigestFrame returns for the same frame. The record and its Stack
-// are borrowed: the next Frame overwrites them.
-func (d *Digester) Record() *Record { return &d.rec }
 
 // DigestStream runs a pcap.Stream through the digester as one sample.
 func (d *Digester) DigestStream(site string, s pcap.Stream) error {
@@ -569,30 +561,95 @@ func (t *FlowTable) spillColdest() error {
 	for _, e := range t.hot {
 		t.scratch = append(t.scratch, e)
 	}
-	// Coldest first: oldest last-seen, ties on first-seen sequence
-	// (unique, so the order is total and map iteration cannot leak in).
-	sort.Slice(t.scratch, func(i, j int) bool {
-		a, b := t.scratch[i], t.scratch[j]
-		if a.lastNs != b.lastNs {
-			return a.lastNs < b.lastNs
-		}
-		return a.firstSeq < b.firstSeq
-	})
+	selectColdest(t.scratch, n)
 	return t.spillEntries(t.scratch[:n])
+}
+
+// colder is the spill order: oldest last-seen first, ties on first-seen
+// sequence. The sequence is unique, so the order is total and map
+// iteration cannot leak into which entries spill.
+func colder(a, b *flowEntry) bool {
+	if a.lastNs != b.lastNs {
+		return a.lastNs < b.lastNs
+	}
+	return a.firstSeq < b.firstSeq
+}
+
+// selectColdest reorders es so that es[:n] holds its n coldest entries,
+// in no particular order: a quickselect, linear in len(es) on average.
+// The order is total, so es[:n] is the set a full sort would put first.
+func selectColdest(es []*flowEntry, n int) {
+	lo, hi := 0, len(es)
+	for lo < n && n < hi {
+		p := lo + partitionColdest(es[lo:hi])
+		if p < n {
+			lo = p + 1
+		} else {
+			hi = p
+		}
+	}
+}
+
+// partitionColdest partitions es around the median of its first, middle
+// and last entries and returns the pivot's index: every entry before it
+// is colder, every entry after it warmer.
+func partitionColdest(es []*flowEntry) int {
+	m, last := len(es)/2, len(es)-1
+	if colder(es[m], es[0]) {
+		es[m], es[0] = es[0], es[m]
+	}
+	if colder(es[last], es[0]) {
+		es[last], es[0] = es[0], es[last]
+	}
+	if colder(es[m], es[last]) {
+		es[m], es[last] = es[last], es[m]
+	}
+	pivot, i := es[last], 0
+	for j := 0; j < last; j++ {
+		if colder(es[j], pivot) {
+			es[i], es[j] = es[j], es[i]
+			i++
+		}
+	}
+	es[i], es[last] = es[last], es[i]
+	return i
 }
 
 // spillEntries writes the given entries out (grouped by origin site,
 // one segment per site in name order, rows by first-seen sequence) and
 // removes them from the hot set. With no spill writer attached the
-// entries are simply dropped — the bounded-memory, no-disk mode.
+// entries are simply dropped — the bounded-memory, no-disk mode — and
+// their order does not matter.
 func (t *FlowTable) spillEntries(victims []*flowEntry) error {
+	if t.spill != nil {
+		if err := t.writeEntries(victims); err != nil {
+			return err
+		}
+	}
+	for _, e := range victims {
+		if t.inSample && e.sample == t.sample {
+			if t.spilledIn == nil {
+				t.spilledIn = make(map[FlowKey]struct{})
+			}
+			t.spilledIn[e.key] = struct{}{}
+		}
+		delete(t.hot, e.key)
+		t.free = append(t.free, e)
+	}
+	t.spilled += int64(len(victims))
+	return nil
+}
+
+// writeEntries sorts the entries by origin site and first-seen sequence
+// and appends one segment per site to the spill writer.
+func (t *FlowTable) writeEntries(victims []*flowEntry) error {
 	sort.Slice(victims, func(i, j int) bool {
 		if victims[i].site != victims[j].site {
 			return victims[i].site < victims[j].site
 		}
 		return victims[i].firstSeq < victims[j].firstSeq
 	})
-	for start := 0; t.spill != nil && start < len(victims); {
+	for start := 0; start < len(victims); {
 		end := start
 		site := victims[start].site
 		for end < len(victims) && victims[end].site == site {
@@ -611,17 +668,6 @@ func (t *FlowTable) spillEntries(victims []*flowEntry) error {
 		}
 		start = end
 	}
-	for _, e := range victims {
-		if t.inSample && e.sample == t.sample {
-			if t.spilledIn == nil {
-				t.spilledIn = make(map[FlowKey]struct{})
-			}
-			t.spilledIn[e.key] = struct{}{}
-		}
-		delete(t.hot, e.key)
-		t.free = append(t.free, e)
-	}
-	t.spilled += int64(len(victims))
 	return nil
 }
 

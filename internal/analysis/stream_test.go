@@ -5,15 +5,18 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"sort"
 	"testing"
 
 	"repro/internal/flowstore"
 	"repro/internal/sketch"
 	"repro/internal/trafficgen"
+	"repro/internal/wire"
 )
 
 // equivCorpus builds a deterministic multi-site corpus: per site a list
@@ -77,10 +80,22 @@ func hostileMutate(corpus [][][]equivFrame) {
 	}
 }
 
+// firstTCP summarizes a frame's first TCP layer from a decode of its
+// own, as CountTCPFlags finds it.
+func firstTCP(data []byte) TCPSummary {
+	pkt := wire.NewPacket(data, wire.LayerTypeEthernet, wire.Default)
+	tcp, ok := pkt.Layer(wire.LayerTypeTCP).(*wire.TCP)
+	if !ok {
+		return TCPSummary{}
+	}
+	return TCPSummary{Present: true, Flags: tcp.Flags, Empty: len(tcp.LayerPayload()) == 0}
+}
+
 // runBoth feeds the corpus through the in-memory pipeline (acaps + raw
 // frame list) and the streaming digester (spilling aggressively) and
 // returns both sides' views. Every frame's Digester.Record must equal
-// its DigestFrame record.
+// its DigestFrame record, and its TCP summary the frame's first TCP
+// layer.
 func runBoth(t *testing.T, corpus [][][]equivFrame, siteNames []string) (acaps []*Acap, raw [][]byte, d *Digester, spillPath string) {
 	t.Helper()
 	spillPath = filepath.Join(t.TempDir(), "flows.seg")
@@ -107,6 +122,9 @@ func runBoth(t *testing.T, corpus [][][]equivFrame, siteNames []string) (acaps [
 				}
 				if !reflect.DeepEqual(got, rec) {
 					t.Fatalf("Digester.Record %+v, DigestFrame %+v", got, rec)
+				}
+				if want := firstTCP(f.data); got.TCP != want {
+					t.Fatalf("Record.TCP %+v, the frame's first TCP layer %+v", got.TCP, want)
 				}
 			}
 			d.EndSample()
@@ -439,5 +457,190 @@ func TestFlowTableReentryExact(t *testing.T) {
 	}
 	if got, _ := d.Flows().CardinalityEstimate(); got != hll.Count() {
 		t.Errorf("CardinalityEstimate %d, HLL fed every frame %d", got, hll.Count())
+	}
+}
+
+// sortColdest is the oracle for the spill selection: the n coldest
+// entries by a full sort on (last-seen, first-seen sequence).
+func sortColdest(es []*flowEntry, n int) []*flowEntry {
+	sorted := slices.Clone(es)
+	sort.Slice(sorted, func(i, j int) bool {
+		a, b := sorted[i], sorted[j]
+		if a.lastNs != b.lastNs {
+			return a.lastNs < b.lastNs
+		}
+		return a.firstSeq < b.firstSeq
+	})
+	return sorted[:n]
+}
+
+// seqSet returns the entries' first-seen sequences, sorted.
+func seqSet(es []*flowEntry) []uint64 {
+	out := make([]uint64, len(es))
+	for i, e := range es {
+		out[i] = e.firstSeq
+	}
+	slices.Sort(out)
+	return out
+}
+
+// TestSpillSelectionMatchesSort: the linear-time selection picks the
+// set the full sort picks, on entry sets with many tied last-seen
+// times; and a flow table spilling through it, with and without a
+// spill writer, evicts the victims and writes the segments of a model
+// table that selects by the full sort.
+func TestSpillSelectionMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 500; trial++ {
+		size := rng.Intn(300)
+		es := make([]*flowEntry, size)
+		for i, seq := range rng.Perm(size) {
+			es[i] = &flowEntry{lastNs: int64(rng.Intn(1 + size/20)), firstSeq: uint64(seq)}
+		}
+		for _, n := range []int{size / 2, rng.Intn(size + 1)} {
+			want := seqSet(sortColdest(es, n))
+			all := seqSet(es)
+			selectColdest(es, n)
+			if got := seqSet(es[:n]); !slices.Equal(got, want) {
+				t.Fatalf("trial %d, %d of %d entries: selected %v, the sort's %v", trial, n, size, got, want)
+			}
+			if !slices.Equal(seqSet(es), all) {
+				t.Fatalf("trial %d: the selection lost or duplicated entries", trial)
+			}
+		}
+	}
+
+	for _, withWriter := range []bool{false, true} {
+		t.Run(fmt.Sprintf("writer=%v", withWriter), func(t *testing.T) {
+			checkSpillsMatchModel(t, withWriter)
+		})
+	}
+}
+
+// checkSpillsMatchModel streams frames whose timestamps repeat in runs,
+// and sometimes step back, through a small flow table and through a
+// model of it that selects victims with sortColdest. After every frame
+// the table's hot keys must be the model's; with a writer, the store
+// must hold the model's rows, row for row, and its segment count.
+func checkSpillsMatchModel(t *testing.T, withWriter bool) {
+	const maxHot = 16
+	var w *flowstore.Writer
+	path := filepath.Join(t.TempDir(), "flows.pwfs")
+	if withWriter {
+		var err error
+		if w, err = flowstore.Create(path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tab := NewFlowTable(maxHot, w, 0, 0)
+	model := map[FlowKey]*flowEntry{}
+	var seq uint64
+	var wantRows []flowstore.Rec
+	wantSegments := 0
+	spillModel := func(victims []*flowEntry) {
+		sort.Slice(victims, func(i, j int) bool {
+			if victims[i].site != victims[j].site {
+				return victims[i].site < victims[j].site
+			}
+			return victims[i].firstSeq < victims[j].firstSeq
+		})
+		for i, e := range victims {
+			if i == 0 || e.site != victims[i-1].site {
+				wantSegments++
+			}
+			wantRows = append(wantRows, flowstore.Rec{
+				Key: StoreKey(e.key), Site: e.site, FirstNs: e.firstNs, LastNs: e.lastNs,
+				FirstSeq: e.firstSeq, Frames: e.frames, Bytes: e.bytes,
+			})
+			delete(model, e.key)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(11))
+	keys := make([]FlowKey, 60)
+	for i := range keys {
+		keys[i] = FlowKey{VLANID: uint16(i + 1), Proto: wire.LayerTypeUDP, SrcPort: uint16(1000 + i)}
+	}
+	spills := 0
+	for sample := 0; sample < 6; sample++ {
+		site := fmt.Sprintf("S%d", sample%3)
+		tab.startSample(site)
+		for i := 0; i < 400; i++ {
+			key := keys[rng.Intn(len(keys))]
+			if rng.Intn(2) == 0 {
+				key = keys[rng.Intn(len(keys)/4)] // a hot quarter
+			}
+			ts := int64(sample*100 + i/8) // runs of eight tied timestamps
+			if rng.Intn(10) == 0 {
+				ts -= int64(rng.Intn(4))
+			}
+			wireLen := 60 + rng.Intn(1400)
+			before := tab.SpilledFlows()
+			if err := tab.Observe(key, ts, wireLen); err != nil {
+				t.Fatal(err)
+			}
+			if tab.SpilledFlows() != before {
+				spills++
+			}
+
+			e, ok := model[key]
+			if !ok {
+				e = &flowEntry{key: key, site: site, firstNs: ts, lastNs: ts, firstSeq: seq}
+				model[key] = e
+			}
+			seq++
+			e.firstNs, e.lastNs = min(e.firstNs, ts), max(e.lastNs, ts)
+			e.frames++
+			e.bytes += uint64(wireLen)
+			if !ok && len(model) > maxHot {
+				all := make([]*flowEntry, 0, len(model))
+				for _, e := range model {
+					all = append(all, e)
+				}
+				spillModel(sortColdest(all, len(model)/2))
+			}
+
+			if len(tab.hot) != len(model) {
+				t.Fatalf("sample %d frame %d: %d hot flows, the model %d", sample, i, len(tab.hot), len(model))
+			}
+			for k := range model {
+				if _, ok := tab.hot[k]; !ok {
+					t.Fatalf("sample %d frame %d: %v spilled, the model kept it", sample, i, k)
+				}
+			}
+		}
+		tab.endSample()
+	}
+	if spills < 100 {
+		t.Fatalf("only %d spills: the stream is too gentle to test the selection", spills)
+	}
+	if !withWriter {
+		return
+	}
+	if err := tab.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	all := make([]*flowEntry, 0, len(model))
+	for _, e := range model {
+		all = append(all, e)
+	}
+	spillModel(all)
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := flowstore.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	var got []flowstore.Rec
+	if err := st.ForEach(func(r flowstore.Rec) error { got = append(got, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, wantRows) {
+		t.Fatalf("the store holds %d rows, the model %d, and they differ", len(got), len(wantRows))
+	}
+	if st.Segments() != wantSegments {
+		t.Fatalf("the store holds %d segments, the model %d", st.Segments(), wantSegments)
 	}
 }

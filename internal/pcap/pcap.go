@@ -165,9 +165,14 @@ type Reader struct {
 	closed bool
 }
 
+// ReadBufferSize is the size of the read buffer NewReader puts in front
+// of its source. A *bufio.Reader at least this large is used as it is,
+// so a caller reading many files can reuse one buffer for all of them.
+const ReadBufferSize = 1 << 16
+
 // NewReader parses the file header and returns a Reader.
 func NewReader(r io.Reader) (*Reader, error) {
-	br := bufio.NewReaderSize(r, 1<<16)
+	br := bufio.NewReaderSize(r, ReadBufferSize)
 	var fh [fileHeaderLen]byte
 	if _, err := io.ReadFull(br, fh[:]); err != nil {
 		return nil, fmt.Errorf("pcap: reading file header: %w", err)

@@ -14,9 +14,9 @@
 #                           efficiency
 #   BENCH_analysis.json     streaming analysis pipeline: streamed vs
 #                           materialized digest (B/op, flows/sec), the
-#                           digest fold alone (ns/frame) and the
-#                           GOMEMLIMIT-bounded peak heap of a
-#                           Fig13-scale streamed digest
+#                           digest fold and its decode half alone
+#                           (ns/frame) and the GOMEMLIMIT-bounded peak
+#                           heap of a Fig13-scale streamed digest
 #   BENCH_storefault.json   storage seam overhead: journal-line and
 #                           flowstore-block writes raw vs through the
 #                           passthrough FS seam, plus the measured
@@ -150,9 +150,9 @@ echo "== streaming analysis: streamed vs materialized digest =="
 # count is the measurement (same reasoning as the experiment suite).
 go test -run '^$' -bench '^Benchmark(Streamed|Materialized)FlowDigest$' \
     -benchmem -benchtime 1x -count "$count" . | tee "$tmp/analysis.txt"
-# The digest fold alone: its corpus is built before the timer starts,
-# so it runs at the default benchtime.
-go test -run '^$' -bench '^BenchmarkDigestFold$' -benchmem \
+# The digest fold, and its decode half, alone: their corpus is built
+# before the timer starts, so they run at the default benchtime.
+go test -run '^$' -bench '^BenchmarkDigest(Fold|Decode)$' -benchmem \
     ${benchtime:+-benchtime $benchtime} -count "$count" . | tee -a "$tmp/analysis.txt"
 
 # Bounded-memory gate: a Fig13-scale streamed digest runs with the Go

@@ -15,10 +15,14 @@
 # detector), a window prefetch gate (traffic windows built one ahead on
 # goroutines must cross the switch exactly as the reference driver's at
 # GOMAXPROCS 1 and 4, repeated under the race detector), an acap
-# writer gate (pwanalyze encodes acaps on a goroutine beside its digest
-# walk: its output tree must be byte-identical at GOMAXPROCS 1 and 4,
-# and a failed acap write or capture read must join the writer,
-# repeated under the race detector), a
+# writer gate (pwanalyze decodes, folds and encodes acaps on three
+# pipelined goroutines: its output tree must be byte-identical at
+# GOMAXPROCS 1, 2 and 4, and a failed acap write or capture read must
+# join the fold and the writer, repeated under the race detector), a
+# pipeline failure gate (a flow-store spill that fails on the fold
+# goroutine mid-walk, alone or beside a failed acap write, must come
+# back from run as the failure on the earliest batch, with both
+# goroutines joined, repeated under the race detector), a
 # streaming-analytics equivalence gate (the single-pass digester and
 # the materialized in-memory pipeline must agree byte-for-byte on every
 # CSV and figure artifact, spilling included), and a
@@ -83,6 +87,12 @@ go test -race -count=10 -run '^TestDriver' ./internal/core
 # (spilling, torn and empty captures included), and every failure must
 # come back from run with the writer joined and its files closed.
 go test -race -count=5 -run '^(TestRunMatchesInMemoryPipeline|TestAcapMatchesDigest|TestTornCaptureSurfaced|TestOutputIndependentOfGOMAXPROCS|TestAcapWriteFailureJoinsWriter)$' ./cmd/pwanalyze
+
+# Pipeline failure gate: the fold goroutine spills to the flow store, so
+# a spill failing mid-walk, alone or beside a failed acap write, must
+# come back from run as the failure on the earliest batch, with the fold
+# and writer goroutines joined and their files closed.
+go test -race -count=5 -run '^(TestSpillFailureFailsRun|TestEarlierBatchFailureWins)$' ./cmd/pwanalyze
 
 # Streaming-analytics equivalence gate: streamed digest vs materialized
 # baseline on clean and hostile corpora, and the streamed acap encoder

@@ -77,21 +77,19 @@ func BenchmarkStreamedFlowDigest(b *testing.B) {
 	}
 }
 
-// BenchmarkDigestFold times the digester's fold alone. The corpus is
-// the streamed pair's frames, cut to the snap length and generated
-// before the timer starts; each iteration digests all of it into a
-// fresh Digester.
-func BenchmarkDigestFold(b *testing.B) {
-	type frame struct {
-		at      int64
-		data    []byte
-		wireLen int
-	}
+// digestBenchFrame is one frame of the digest benchmarks' corpus.
+type digestBenchFrame struct {
+	at      int64
+	data    []byte
+	wireLen int
+}
+
+// digestBenchCorpus returns the streamed pair's frames, cut to the snap
+// length, by sample, and each sample's site.
+func digestBenchCorpus(b *testing.B) (samples [][]digestBenchFrame, sites []string) {
 	var (
-		samples [][]frame
-		sites   []string
-		stored  []byte
-		tfs     []trafficgen.TimedFrame
+		stored []byte
+		tfs    []trafficgen.TimedFrame
 	)
 	profiles := trafficgen.MakeSiteProfiles(2, 30)[:streamBenchSites]
 	arena := trafficgen.NewFrameArena()
@@ -104,19 +102,27 @@ func BenchmarkDigestFold(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			smp := make([]frame, len(tfs))
+			smp := make([]digestBenchFrame, len(tfs))
 			for i, tf := range tfs {
 				n := min(len(tf.Data), streamBenchSnap)
 				if cap(stored)-len(stored) < n {
 					stored = make([]byte, 0, 1<<20)
 				}
 				stored = append(stored, tf.Data[:n]...)
-				smp[i] = frame{int64(tf.At), stored[len(stored)-n:], len(tf.Data)}
+				smp[i] = digestBenchFrame{int64(tf.At), stored[len(stored)-n:], len(tf.Data)}
 			}
 			samples = append(samples, smp)
 			sites = append(sites, p.Site)
 		}
 	}
+	return samples, sites
+}
+
+// BenchmarkDigestFold times the digester's Frame, decode and fold,
+// alone. The corpus is generated before the timer starts; each
+// iteration digests all of it into a fresh Digester.
+func BenchmarkDigestFold(b *testing.B) {
+	samples, sites := digestBenchCorpus(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var frames int
@@ -134,6 +140,26 @@ func BenchmarkDigestFold(b *testing.B) {
 		frames = d.Frames()
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(frames*b.N), "ns/frame")
+}
+
+// BenchmarkDigestDecode times the decode half of BenchmarkDigestFold
+// alone, over the same corpus: each frame into its acap record through
+// one analysis.Decoder.
+func BenchmarkDigestDecode(b *testing.B) {
+	samples, _ := digestBenchCorpus(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var dec analysis.Decoder
+	frames := 0
+	for i := 0; i < b.N; i++ {
+		for _, smp := range samples {
+			for _, f := range smp {
+				dec.Decode(f.at, f.data, f.wireLen)
+			}
+			frames += len(smp)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(frames), "ns/frame")
 }
 
 // BenchmarkMaterializedFlowDigest is the pre-rework baseline: heap
