@@ -26,7 +26,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/sketch"
 	"repro/internal/storefault"
@@ -419,13 +419,16 @@ func (w *Writer) Close() error {
 	return w.f.Close()
 }
 
-// Store is an opened flow-store file: segment metadata in memory,
-// column data read on demand per query.
+// Store is an opened flow-store file: segment metadata in memory, and
+// each segment's rows once a scan has decoded them.
 type Store struct {
 	f    storefault.File
 	segs []*segMeta
-	rows int64
-	torn bool
+	// decoded[i] holds segs[i]'s rows from the first Scan that decoded
+	// them, and nil until then. Published rows are never written again.
+	decoded []atomic.Pointer[[]Rec]
+	rows    int64
+	torn    bool
 }
 
 // Open scans the file's segment headers. A torn or corrupt final
@@ -461,6 +464,7 @@ func OpenFS(fsys storefault.FS, path string) (*Store, error) {
 		st.rows += int64(m.count)
 		off = next
 	}
+	st.decoded = make([]atomic.Pointer[[]Rec], len(st.segs))
 	return st, nil
 }
 
@@ -501,15 +505,13 @@ func readSegHeader(f io.ReaderAt, off, size int64) (*segMeta, int64, bool) {
 	return m, m.colsOff + int64(m.colsLen), true
 }
 
-// segBuf holds one segment's column block and its decoded rows. Scan
-// takes one from segPool per call, so concurrent scans share none and
-// a scan's memory is bounded by its largest segment.
+// segBuf holds one segment's column block and its decoded rows. A pass
+// over every segment (ForEach, Verify) reads them all through one
+// segBuf, so its memory is bounded by its largest segment.
 type segBuf struct {
 	cols []byte
 	recs []Rec
 }
-
-var segPool = sync.Pool{New: func() any { return new(segBuf) }}
 
 // read reads, checks and decodes m's column block into sb. The rows are
 // valid until the next read into sb.
@@ -577,20 +579,22 @@ type Query struct {
 // rows have been passed. Segment metadata prunes the scan: segments
 // outside the time range, with a different site label, or whose bloom
 // filter excludes the key are skipped without touching column data.
-// Every other segment is read, CRC-checked and decoded once, into
-// buffers reused across calls, so the row is lent to fn only for the
-// duration of the call; a caller that keeps it must copy it. Scan may
-// run concurrently with other scans of the same Store.
+// The Store decodes every other segment once: the first Scan to reach
+// it reads its column block, checks the CRC and length, decodes the
+// rows and keeps them, and later scans, concurrent ones included,
+// filter those same rows. A segment that fails to read or decode is
+// not kept, so every Scan that reaches it returns the error. The rows
+// fn is lent are shared by all scans of the Store and must not be
+// modified. Scan may run concurrently with other scans of the same
+// Store.
 func (s *Store) Scan(q Query, fn func(*Rec) bool) error {
 	var keyHash uint64
 	if q.Key != nil {
 		var kb [64]byte
 		keyHash = sketch.Hash64(appendKeyBytes(kb[:0], *q.Key))
 	}
-	sb := segPool.Get().(*segBuf)
-	defer segPool.Put(sb)
 	passed := 0
-	for _, m := range s.segs {
+	for i, m := range s.segs {
 		if q.ToNs > 0 && m.minNs > q.ToNs {
 			continue
 		}
@@ -603,12 +607,12 @@ func (s *Store) Scan(q Query, fn func(*Rec) bool) error {
 		if q.Key != nil && !m.filter.maybe(keyHash) {
 			continue
 		}
-		recs, err := sb.read(s.f, m)
+		recs, err := s.segment(i)
 		if err != nil {
 			return err
 		}
-		for i := range recs {
-			r := &recs[i]
+		for j := range recs {
+			r := &recs[j]
 			if q.ToNs > 0 && r.FirstNs > q.ToNs {
 				continue
 			}
@@ -630,6 +634,25 @@ func (s *Store) Scan(q Query, fn func(*Rec) bool) error {
 	return nil
 }
 
+// segment returns segs[i]'s rows, reading and decoding them if no scan
+// has kept them yet.
+func (s *Store) segment(i int) ([]Rec, error) {
+	if p := s.decoded[i].Load(); p != nil {
+		return *p, nil
+	}
+	var sb segBuf
+	recs, err := sb.read(s.f, s.segs[i])
+	if err != nil {
+		return nil, err
+	}
+	// Scans racing to a segment each decode it; the first to publish
+	// wins, so every scan lends the same rows.
+	if !s.decoded[i].CompareAndSwap(nil, &recs) {
+		return *s.decoded[i].Load(), nil
+	}
+	return recs, nil
+}
+
 // Query returns copies of the rows Scan passes for q.
 func (s *Store) Query(q Query) ([]Rec, error) {
 	var out []Rec
@@ -640,13 +663,22 @@ func (s *Store) Query(q Query) ([]Rec, error) {
 }
 
 // ForEach streams every stored row in storage order, stopping at the
-// first error fn returns.
+// first error fn returns. It is one pass over the whole file, so it
+// decodes each segment into one reused buffer and keeps no rows.
 func (s *Store) ForEach(fn func(Rec) error) error {
-	var ferr error
-	if err := s.Scan(Query{}, func(r *Rec) bool { ferr = fn(*r); return ferr == nil }); err != nil {
-		return err
+	var sb segBuf
+	for _, m := range s.segs {
+		recs, err := sb.read(s.f, m)
+		if err != nil {
+			return err
+		}
+		for _, r := range recs {
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
 	}
-	return ferr
+	return nil
 }
 
 // VerifyReport is one scrub pass over a store file. Unlike Open — which

@@ -6,6 +6,9 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
+	"runtime"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/wire"
@@ -245,7 +248,9 @@ func fileSize(t *testing.T, w *Writer) int {
 // FuzzSegmentCodec feeds arbitrary bytes through the store opener and
 // query path: decoding must never panic, and any file the fuzzer
 // constructs that opens with intact segments must read back without
-// out-of-bounds access. On a store whose rows all read back, Query at
+// out-of-bounds access. Every query is asked twice on one store, and
+// the second answer, from the kept rows, must equal the first, a
+// failure included. On a store whose rows all read back, Query at
 // limits 1 and 3, with and without a time window, must return exactly
 // the first matching rows of ForEach, and a Scan whose callback stops
 // early must return nil.
@@ -294,7 +299,22 @@ func FuzzSegmentCodec(f *testing.F) {
 		if int64(len(all)) > st.Rows() {
 			t.Fatalf("ForEach yielded %d rows, metadata says %d", len(all), st.Rows())
 		}
-		st.Query(Query{FromNs: 1, ToNs: 1 << 40, Limit: 10})
+		// query asks q twice: the second answer comes from the rows the
+		// first kept, and must equal it, failure included.
+		query := func(q Query) ([]Rec, error) {
+			got, err := st.Query(q)
+			again, err2 := st.Query(q)
+			if (err == nil) != (err2 == nil) || len(got) != len(again) {
+				t.Fatalf("Query(%+v) asked twice: %d rows, err %v, then %d rows, err %v", q, len(got), err, len(again), err2)
+			}
+			for i := range got {
+				if got[i] != again[i] {
+					t.Fatalf("Query(%+v) asked twice: row %d = %+v, then %+v", q, i, got[i], again[i])
+				}
+			}
+			return got, err
+		}
+		query(Query{FromNs: 1, ToNs: 1 << 40, Limit: 10})
 		if ferr != nil {
 			return
 		}
@@ -313,7 +333,7 @@ func FuzzSegmentCodec(f *testing.F) {
 						want = append(want, r)
 					}
 				}
-				got, err := st.Query(q)
+				got, err := query(q)
 				if err != nil {
 					t.Fatalf("Query(%+v): %v", q, err)
 				}
@@ -474,5 +494,184 @@ func TestVerifyCatchesColumnBitFlip(t *testing.T) {
 	}
 	if !rep.Damaged() || rep.Segments != 2 {
 		t.Fatalf("column bit flip not caught: %+v", rep)
+	}
+}
+
+// openStore opens the store at path until the test ends.
+func openStore(t *testing.T, path string) *Store {
+	t.Helper()
+	st, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st
+}
+
+// keptSegments counts the segments whose rows st keeps.
+func keptSegments(st *Store) int {
+	n := 0
+	for i := range st.decoded {
+		if st.decoded[i].Load() != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// TestScanDecodesOnce: the first Scan to reach a segment decodes it and
+// the store keeps its rows, so a repeated Scan lends the same rows and,
+// once every segment is kept, allocates nothing.
+func TestScanDecodesOnce(t *testing.T) {
+	st := openStore(t, writeStore(t))
+	rows := 0
+	count := func(*Rec) bool { rows++; return true }
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := st.Scan(Query{Site: "site-b"}, count)
+	runtime.ReadMemStats(&after)
+	if err != nil || rows != 30 {
+		t.Fatalf("site-b Scan: %d rows, err %v; want 30", rows, err)
+	}
+	if after.Mallocs == before.Mallocs {
+		t.Error("the first Scan after Open allocated nothing, so it decoded nothing")
+	}
+	if n := keptSegments(st); n != 1 || st.decoded[1].Load() == nil {
+		t.Fatalf("a site-b Scan kept %d segments, want site-b's alone", n)
+	}
+
+	var first, again []*Rec
+	for _, dst := range []*[]*Rec{&first, &again} {
+		if err := st.Scan(Query{}, func(r *Rec) bool { *dst = append(*dst, r); return true }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := slices.Concat(testRecs(50, "site-a", 1e9), testRecs(30, "site-b", 100e9), testRecs(20, "site-a", 200e9))
+	if len(first) != len(want) || len(again) != len(want) {
+		t.Fatalf("Scans passed %d and %d rows, want %d", len(first), len(again), len(want))
+	}
+	for i := range want {
+		if first[i] != again[i] || *first[i] != want[i] {
+			t.Fatalf("row %d: first Scan lent %p %+v, second %p, want %+v", i, first[i], *first[i], again[i], want[i])
+		}
+	}
+
+	allocs := testing.AllocsPerRun(10, func() {
+		if err := st.Scan(Query{}, count); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a warmed Scan allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestForEachKeepsNoRows: ForEach is one pass over the file, so it
+// streams through one buffer and leaves nothing kept.
+func TestForEachKeepsNoRows(t *testing.T) {
+	st := openStore(t, writeStore(t))
+	n := 0
+	if err := st.ForEach(func(Rec) error { n++; return nil }); err != nil || n != 100 {
+		t.Fatalf("ForEach: %d rows, err %v; want 100", n, err)
+	}
+	if k := keptSegments(st); k != 0 {
+		t.Fatalf("ForEach kept the rows of %d segments, want none", k)
+	}
+}
+
+// TestConcurrentFirstScans: goroutines racing to the first decodes of a
+// freshly opened store's segments must each answer what a serial Query
+// on another store answers. Under -race it also checks how the kept
+// rows are published.
+func TestConcurrentFirstScans(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "flows.pwfs")
+	w, err := Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sites := []string{"site-a", "site-b", "site-c"}
+	for i := 0; i < 12; i++ {
+		site := sites[i%len(sites)]
+		if err := w.Append(site, testRecs(40, site, int64(i)*10e9)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var queries []Query
+	for _, limit := range []int{0, 25, 1000} {
+		for _, q := range []Query{{}, {Site: "site-b"}, {Site: "site-c"}, {FromNs: 35e9, ToNs: 62e9}, {FromNs: 90e9}} {
+			q.Limit = limit
+			queries = append(queries, q)
+		}
+	}
+	ref := openStore(t, path)
+	want := make([][]Rec, len(queries))
+	for i, q := range queries {
+		if want[i], err = ref.Query(q); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	st := openStore(t, path)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			// Each goroutine walks the queries from its own starting point.
+			for k := range queries {
+				i := (g*2 + k) % len(queries)
+				got, err := st.Query(queries[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !slices.Equal(got, want[i]) {
+					t.Errorf("goroutine %d: Query(%+v) = %d rows, differing from the serial %d", g, queries[i], len(got), len(want[i]))
+					return
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+}
+
+// TestCorruptSegmentNotKept: a segment whose column block fails its CRC
+// fails every Scan that reaches it, the first time and again, since a
+// failed decode is not kept; scans that never reach it still answer.
+func TestCorruptSegmentNotKept(t *testing.T) {
+	path := writeStore(t)
+	m := openStore(t, path).segs[1] // site-b's
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[m.colsOff+int64(m.colsLen)/2] ^= 0x01
+	corrupt := filepath.Join(t.TempDir(), "corrupt.pwfs")
+	if err := os.WriteFile(corrupt, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, corrupt)
+	reach := []Query{{}, {Site: "site-b"}, {FromNs: 100e9, ToNs: 101e9}}
+	miss := []Query{{Site: "site-a"}, {FromNs: 150e9}, {Limit: 10}}
+	for round := 1; round <= 2; round++ {
+		for _, q := range reach {
+			if _, err := st.Query(q); err == nil {
+				t.Errorf("round %d: Query(%+v) reaches the corrupt segment, yet answered", round, q)
+			}
+		}
+		for _, q := range miss {
+			if _, err := st.Query(q); err != nil {
+				t.Errorf("round %d: Query(%+v) never reaches the corrupt segment, yet failed: %v", round, q, err)
+			}
+		}
+	}
+	if st.decoded[1].Load() != nil {
+		t.Error("the corrupt segment's failed decode was kept")
 	}
 }

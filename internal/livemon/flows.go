@@ -97,10 +97,12 @@ func sameVersion(a, b os.FileInfo) bool {
 
 // handleFlows answers /api/flows?from=&to=&site=&limit= against the
 // attached flow store. from/to are sim-nanosecond bounds (a row matches
-// when its [first_ns, last_ns] span intersects the range), site filters
-// by capture site, and limit caps the result: 1000 when absent, and a
-// value that is not a positive integer answers 400. Segment pruning
-// happens inside the store.
+// when its [first_ns, last_ns] span intersects the range): an absent or
+// zero bound leaves that side open, and a value that is not a
+// non-negative integer answers 400. site filters by capture site, and
+// limit caps the result: 1000 when absent, and a value that is not a
+// positive integer answers 400. Segment pruning happens inside the
+// store.
 func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 	s.flowMu.Lock()
 	path := s.flowPath
@@ -117,7 +119,7 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 	}{{"from", &q.FromNs}, {"to", &q.ToNs}} {
 		if v := params.Get(p.name); v != "" {
 			n, err := strconv.ParseInt(v, 10, 64)
-			if err != nil {
+			if err != nil || n < 0 {
 				http.Error(w, "bad "+p.name, http.StatusBadRequest)
 				return
 			}

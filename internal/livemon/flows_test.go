@@ -131,7 +131,7 @@ func TestFlowsEndpoint(t *testing.T) {
 		t.Fatalf("limit: %+v", limited)
 	}
 
-	for _, bad := range []string{"/api/flows?from=x", "/api/flows?to=x", "/api/flows?limit=0", "/api/flows?limit=x"} {
+	for _, bad := range []string{"/api/flows?from=x", "/api/flows?to=x", "/api/flows?from=-1", "/api/flows?to=-1", "/api/flows?limit=0", "/api/flows?limit=x"} {
 		if code, _ := get(t, ts, bad); code != http.StatusBadRequest {
 			t.Fatalf("%s: got %d, want 400", bad, code)
 		}

@@ -15,7 +15,9 @@
 #   BENCH_analysis.json     streaming analysis pipeline: streamed vs
 #                           materialized digest (B/op, flows/sec), the
 #                           digest fold and its decode half alone
-#                           (ns/frame) and the GOMEMLIMIT-bounded peak
+#                           (ns/frame), flow-store queries on one kept
+#                           store and on a store opened per query
+#                           (ns/query), and the GOMEMLIMIT-bounded peak
 #                           heap of a Fig13-scale streamed digest
 #   BENCH_storefault.json   storage seam overhead: journal-line and
 #                           flowstore-block writes raw vs through the
@@ -153,6 +155,11 @@ go test -run '^$' -bench '^Benchmark(Streamed|Materialized)FlowDigest$' \
 # The digest fold, and its decode half, alone: their corpus is built
 # before the timer starts, so they run at the default benchtime.
 go test -run '^$' -bench '^BenchmarkDigest(Fold|Decode)$' -benchmem \
+    ${benchtime:+-benchtime $benchtime} -count "$count" . | tee -a "$tmp/analysis.txt"
+# The flow-store query mix over the store a Digester writes for that
+# corpus: warm asks it of one kept store, fresh of a store opened per
+# query (ns/query).
+go test -run '^$' -bench '^BenchmarkStoreQueryMix$' -benchmem \
     ${benchtime:+-benchtime $benchtime} -count "$count" . | tee -a "$tmp/analysis.txt"
 
 # Bounded-memory gate: a Fig13-scale streamed digest runs with the Go

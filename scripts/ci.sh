@@ -22,12 +22,16 @@
 # pipeline failure gate (a flow-store spill that fails on the fold
 # goroutine mid-walk, alone or beside a failed acap write, must come
 # back from run as the failure on the earliest batch, with both
-# goroutines joined, repeated under the race detector), a
-# streaming-analytics equivalence gate (the single-pass digester and
-# the materialized in-memory pipeline must agree byte-for-byte on every
-# CSV and figure artifact, spilling included), and a
-# validate-only dry run of every health-alert rule file (the embedded
-# defaults always, plus any rules/*.json), a crash/resume gate: a
+# goroutines joined, repeated under the race detector), a flow-store
+# kept-rows gate (a store keeps each segment's rows from the first scan
+# that decodes them, so scans racing to those first decodes, and
+# /api/flows requests racing a replacement of the store file, must each
+# answer what a serial query answers, repeated under the race
+# detector), a streaming-analytics equivalence gate (the single-pass
+# digester and the materialized in-memory pipeline must agree
+# byte-for-byte on every CSV and figure artifact, spilling included),
+# and a validate-only dry run of every health-alert rule file (the
+# embedded defaults always, plus any rules/*.json), a crash/resume gate: a
 # journaled campaign is killed at an injected crash point (exit 3),
 # resumed, and its metrics and WAL must be byte-identical to an
 # uninterrupted baseline of the same seed — repeated under sharded
@@ -93,6 +97,13 @@ go test -race -count=5 -run '^(TestRunMatchesInMemoryPipeline|TestAcapMatchesDig
 # come back from run as the failure on the earliest batch, with the fold
 # and writer goroutines joined and their files closed.
 go test -race -count=5 -run '^(TestSpillFailureFailsRun|TestEarlierBatchFailureWins)$' ./cmd/pwanalyze
+
+# Flow-store kept-rows gate: an open store keeps each segment's rows
+# from the first scan that decodes them and every later scan shares
+# them, so scans racing to the first decodes of a fresh store, and
+# /api/flows requests racing store replacements, must each answer what a
+# serial query answers.
+go test -race -count=5 -run '^(TestConcurrentFirstScans|TestFlowsEndpointConcurrentReplace)$' ./internal/flowstore ./internal/livemon
 
 # Streaming-analytics equivalence gate: streamed digest vs materialized
 # baseline on clean and hostile corpora, and the streamed acap encoder

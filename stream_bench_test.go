@@ -1,12 +1,15 @@
 package repro
 
 import (
+	"math/rand/v2"
 	"os"
+	"path/filepath"
 	"runtime"
 	"strconv"
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/flowstore"
 	"repro/internal/sim"
 	"repro/internal/trafficgen"
 )
@@ -160,6 +163,91 @@ func BenchmarkDigestDecode(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(frames), "ns/frame")
+}
+
+// BenchmarkStoreQueryMix times flow-store queries, the read side of
+// /api/flows, over the store a Digester with pwanalyze's default hot-flow
+// budget writes for digestBenchCorpus's corpus (one segment per site).
+// Its 48 queries follow pwbench's flow-query mix as far as the corpus
+// allows: a third select one site, a third a 1, 5 or 20 s window of the
+// corpus's 20 s samples, and a third are unfiltered, each half at limit
+// 100 and half at 1000. warm asks them of one open store, as livemon's
+// kept handle does, after one untimed pass; fresh opens, queries and
+// closes the store for every query.
+func BenchmarkStoreQueryMix(b *testing.B) {
+	samples, sites := digestBenchCorpus(b)
+	path := filepath.Join(b.TempDir(), "flows.pwfs")
+	spill, err := flowstore.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	d := analysis.NewDigester(analysis.DigestOptions{MaxHotFlows: 1 << 16, Spill: spill})
+	for j, smp := range samples {
+		d.StartSample(sites[j])
+		for _, f := range smp {
+			if err := d.Frame(f.at, f.data, f.wireLen); err != nil {
+				b.Fatal(err)
+			}
+		}
+		d.EndSample()
+	}
+	if err := d.Flows().Flush(); err != nil {
+		b.Fatal(err)
+	}
+	if err := spill.Close(); err != nil {
+		b.Fatal(err)
+	}
+
+	r := rand.New(rand.NewPCG(1, 2))
+	span := int64(streamBenchConfig().Duration)
+	qs := make([]flowstore.Query, 48)
+	for i := range qs {
+		j := i / 3
+		q := flowstore.Query{Limit: []int{100, 1000}[j%2]}
+		switch i % 3 {
+		case 0:
+			q.Site = sites[r.IntN(len(sites))]
+		case 1:
+			width := []int64{1, 5, 20}[j%3] * int64(sim.Second)
+			q.FromNs = r.Int64N(span-width+1) + 1
+			q.ToNs = q.FromNs + width
+		}
+		qs[i] = q
+	}
+	askAll := func(b *testing.B, query func(flowstore.Query) ([]flowstore.Rec, error)) {
+		for _, q := range qs {
+			if _, err := query(q); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	measure := func(b *testing.B, query func(flowstore.Query) ([]flowstore.Rec, error)) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			askAll(b, query)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(qs)), "ns/query")
+	}
+	b.Run("warm", func(b *testing.B) {
+		st, err := flowstore.Open(path)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer st.Close()
+		askAll(b, st.Query)
+		measure(b, st.Query)
+	})
+	b.Run("fresh", func(b *testing.B) {
+		measure(b, func(q flowstore.Query) ([]flowstore.Rec, error) {
+			st, err := flowstore.Open(path)
+			if err != nil {
+				return nil, err
+			}
+			defer st.Close()
+			return st.Query(q)
+		})
+	})
 }
 
 // BenchmarkMaterializedFlowDigest is the pre-rework baseline: heap
