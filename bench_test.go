@@ -186,8 +186,9 @@ func BenchmarkAblationNetFlowBaseline(b *testing.B) {
 
 // --- Micro-benchmarks of the hot paths ---
 
-// BenchmarkWireFastPath measures the allocation-free decoding path used
-// by the capture engine.
+// BenchmarkWireFastPath measures the allocation-free DecodingLayerParser
+// on a pseudowire frame: the comparator of DESIGN §4's decode ablation,
+// which no production path decodes through.
 func BenchmarkWireFastPath(b *testing.B) {
 	var (
 		eth  wire.Ethernet

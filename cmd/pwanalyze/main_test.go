@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/analysistest"
 	"repro/internal/flowstore"
 	"repro/internal/pcap"
 	"repro/internal/sim"
@@ -73,8 +74,8 @@ func writeCorpusFlows(t *testing.T, seed uint64, sites, samples, frames, flows i
 }
 
 // baselineCSVs reruns the pre-streaming pipeline — materialize every
-// acap and raw frame, fold with the in-memory analysis functions — and
-// returns the CSVs by file name.
+// acap and raw frame, fold with the materialized pipeline — and returns
+// the CSVs by file name.
 func baselineCSVs(t *testing.T, in string) map[string][]byte {
 	t.Helper()
 	var acaps []*analysis.Acap
@@ -108,36 +109,10 @@ func baselineCSVs(t *testing.T, in string) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var all []analysis.Record
-	var flowCounts []int
-	for _, a := range acaps {
-		all = append(all, a.Records...)
-		flowCounts = append(flowCounts, analysis.FlowsInSample(a))
+	out, err := analysistest.CSVs(acaps, rawFrames)
+	if err != nil {
+		t.Fatal(err)
 	}
-	out := map[string][]byte{}
-	emit := func(name string, fn func(*bytes.Buffer) error) {
-		var b bytes.Buffer
-		if err := fn(&b); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		out[name] = b.Bytes()
-	}
-	emit("frame_sizes.csv", func(b *bytes.Buffer) error { return analysis.WriteFrameSizeCSV(b, all) })
-	emit("header_occurrence.csv", func(b *bytes.Buffer) error { return analysis.WriteHeaderOccurrenceCSV(b, all) })
-	emit("site_headers.csv", func(b *bytes.Buffer) error {
-		return analysis.WriteSiteHeaderStatsCSV(b, analysis.HeaderStatsBySite(acaps))
-	})
-	emit("flow_counts.csv", func(b *bytes.Buffer) error { return analysis.WriteFlowCountCSV(b, flowCounts) })
-	emit("flow_aggregate.csv", func(b *bytes.Buffer) error {
-		return analysis.WriteFlowAggregateCSV(b, analysis.AggregateFlows(acaps), 100)
-	})
-	emit("encapsulations.csv", func(b *bytes.Buffer) error { return analysis.WriteEncapsulationCSV(b, all, 50) })
-	emit("site_protocols.csv", func(b *bytes.Buffer) error {
-		return analysis.WriteSiteProtocolCSV(b, analysis.ProtocolShareBySite(acaps))
-	})
-	emit("tcp_flags.csv", func(b *bytes.Buffer) error {
-		return analysis.WriteTCPFlagsCSV(b, analysis.CountTCPFlags(rawFrames))
-	})
 	return out
 }
 
@@ -187,7 +162,7 @@ func TestRunMatchesInMemoryPipeline(t *testing.T) {
 	if store.Torn() || store.Rows() == 0 {
 		t.Fatalf("flow store: torn=%v rows=%d", store.Torn(), store.Rows())
 	}
-	empty := analysis.NewFlowTable(0, nil, 0, 0)
+	empty := analysis.NewFlowTable(0, nil)
 	flows, err := empty.Aggregates(store)
 	if err != nil {
 		t.Fatal(err)
@@ -235,8 +210,8 @@ func tear(t *testing.T, path string) {
 
 // TestAcapMatchesDigest: the acap pwanalyze streams for each capture —
 // torn and empty ones included — is byte-identical to the materialized
-// analysis.Digest of that pcap, encoded with Acap.Encode; in particular
-// its start is the first record's timestamp.
+// analysistest.Digest of that pcap, encoded with Acap.Encode; in
+// particular its start is the first record's timestamp.
 func TestAcapMatchesDigest(t *testing.T) {
 	in := writeCorpus(t, 5, 2, 2, 300)
 	paths := capturePaths(t, in)
@@ -271,7 +246,7 @@ func TestAcapMatchesDigest(t *testing.T) {
 			t.Fatal(err)
 		}
 		site := filepath.Base(filepath.Dir(path))
-		a, err := analysis.Digest(site, rd)
+		a, err := analysistest.Digest(site, rd)
 		f.Close()
 		if err != nil {
 			t.Fatal(err)
@@ -354,7 +329,7 @@ func readTree(t *testing.T, root string) map[string][]byte {
 // index.json, flows.pwfs and the CSVs) must be byte-identical however
 // they are scheduled, with spilling forced, captures spanning several
 // record batches, and torn and empty captures present; and the CSVs
-// must be the in-memory pipeline's.
+// must be the materialized pipeline's.
 func TestOutputIndependentOfGOMAXPROCS(t *testing.T) {
 	in := writeCorpusFlows(t, 9, 2, 2, 6000, 200)
 	paths := capturePaths(t, in)

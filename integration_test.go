@@ -94,9 +94,8 @@ func TestFullPipeline(t *testing.T) {
 		t.Fatalf("success rate = %v", prof.SuccessRate())
 	}
 
-	// Analysis phase over every bundle.
-	var acaps []*analysis.Acap
-	var all []analysis.Record
+	// Analysis phase over every bundle, one sample per capture.
+	d := analysis.NewDigester(analysis.DigestOptions{})
 	for _, b := range prof.Bundles {
 		pcaps, err := b.DecompressPcaps()
 		if err != nil {
@@ -110,20 +109,17 @@ func TestFullPipeline(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			a, err := analysis.Digest(b.Site, rd)
-			if err != nil {
+			if err := d.DigestStream(b.Site, rd); err != nil {
 				t.Fatal(err)
 			}
-			acaps = append(acaps, a)
-			all = append(all, a.Records...)
 		}
 	}
-	if len(all) < 1000 {
-		t.Fatalf("only %d frames captured end to end", len(all))
+	if d.Frames() < 1000 {
+		t.Fatalf("only %d frames captured end to end", d.Frames())
 	}
 
 	// Paper-shaped assertions on the analyzed profile.
-	occ := analysis.HeaderOccurrence(all)
+	occ := d.HeaderOccurrence()
 	if occ[wire.LayerTypeDot1Q] < 99 {
 		t.Errorf("VLAN occurrence = %.1f%%", occ[wire.LayerTypeDot1Q])
 	}
@@ -133,7 +129,7 @@ func TestFullPipeline(t *testing.T) {
 	if occ[wire.LayerTypeIPv6] > 15 {
 		t.Errorf("IPv6 occurrence = %.1f%%, should be minor", occ[wire.LayerTypeIPv6])
 	}
-	stats := analysis.HeaderStatsBySite(acaps)
+	stats := d.SiteHeaderStats()
 	if len(stats) != 4 {
 		t.Fatalf("sites analyzed = %d", len(stats))
 	}
@@ -142,11 +138,14 @@ func TestFullPipeline(t *testing.T) {
 			t.Errorf("%s stack depth = %d", s.Site, s.MaxStackDepth)
 		}
 	}
-	census := analysis.EncapsulationCensus(all)
+	census := d.EncapCensus()
 	if len(census) < 3 {
 		t.Errorf("encapsulation census too small: %v", census)
 	}
-	flows := analysis.AggregateFlows(acaps)
+	flows, err := d.Flows().Aggregates(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(flows) < 10 {
 		t.Errorf("flows aggregated = %d", len(flows))
 	}
@@ -173,19 +172,25 @@ func TestAnonymizedBundleStillAnalyzes(t *testing.T) {
 		t.Fatal(err)
 	}
 	anon := analysis.NewAnonymizer(0x5EC12E7)
-	plain := &analysis.Acap{Site: "S"}
-	masked := &analysis.Acap{Site: "S"}
+	plain := analysis.NewDigester(analysis.DigestOptions{})
+	masked := analysis.NewDigester(analysis.DigestOptions{})
+	plain.StartSample("S")
+	masked.StartSample("S")
 	for _, tf := range frames {
-		plain.Records = append(plain.Records, analysis.DigestFrame(int64(tf.At), tf.Data, len(tf.Data)))
+		if err := plain.Frame(int64(tf.At), tf.Data, len(tf.Data)); err != nil {
+			t.Fatal(err)
+		}
 		cp := append([]byte(nil), tf.Data...)
 		anon.AnonymizeFrame(cp)
-		masked.Records = append(masked.Records, analysis.DigestFrame(int64(tf.At), cp, len(cp)))
+		if err := masked.Frame(int64(tf.At), cp, len(cp)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got, want := analysis.FlowsInSample(masked), analysis.FlowsInSample(plain); got != want {
+	if got, want := masked.EndSample(), plain.EndSample(); got != want {
 		t.Errorf("anonymization changed flow count: %d != %d", got, want)
 	}
-	po := analysis.HeaderOccurrence(plain.Records)
-	mo := analysis.HeaderOccurrence(masked.Records)
+	po := plain.HeaderOccurrence()
+	mo := masked.HeaderOccurrence()
 	for _, lt := range []wire.LayerType{wire.LayerTypeIPv4, wire.LayerTypeTCP, wire.LayerTypeDot1Q} {
 		if po[lt] != mo[lt] {
 			t.Errorf("%v occurrence changed: %.2f -> %.2f", lt, po[lt], mo[lt])
@@ -202,15 +207,17 @@ func TestCaptureToAnalysisTruncationConsistency(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := &analysis.Acap{Site: "S"}
+	truncated := 0
 	for _, tf := range frames {
 		stored := tf.Data
 		if len(stored) > 200 {
 			stored = stored[:200]
 		}
-		a.Records = append(a.Records, analysis.DigestFrame(int64(tf.At), stored, len(tf.Data)))
+		if analysis.DigestFrame(int64(tf.At), stored, len(tf.Data)).DecodeTruncated {
+			truncated++
+		}
 	}
-	if share := analysis.TruncatedDecodeShare(a.Records); share > 0.01 {
+	if share := float64(truncated) / float64(len(frames)); share > 0.01 {
 		t.Errorf("truncated-decode share = %.3f, 200B should cover headers", share)
 	}
 }

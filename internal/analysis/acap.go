@@ -11,11 +11,9 @@ package analysis
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"strconv"
 
-	"repro/internal/pcap"
 	"repro/internal/wire"
 )
 
@@ -84,25 +82,9 @@ type Acap struct {
 	Records []Record
 }
 
-// Digest runs the protocol dissectors over a pcap stream and produces the
-// abstract capture. It is the analysis pipeline's slowest step, as in the
-// paper ("most of this time is taken up by protocol dissectors").
-func Digest(site string, r *pcap.Reader) (*Acap, error) {
-	a := &Acap{Site: site}
-	err := r.ForEach(func(rec *pcap.Record) error {
-		a.Records = append(a.Records, DigestFrame(rec.TimestampNanos, rec.Data, rec.OriginalLength))
-		return nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("analysis: digesting %s: %w", site, err)
-	}
-	if len(a.Records) > 0 {
-		a.SampleStartNanos = a.Records[0].TimestampNanos
-	}
-	return a, nil
-}
-
-// DigestFrame dissects one frame into a Record.
+// DigestFrame dissects one frame into a Record. Dissection is the
+// analysis pipeline's slowest step, as in the paper ("most of this time
+// is taken up by protocol dissectors").
 func DigestFrame(tsNanos int64, data []byte, wireLen int) Record {
 	var dc Decoder
 	return *dc.Decode(tsNanos, data, wireLen)
@@ -337,10 +319,6 @@ func appendNonZero(b []byte, key string, v int64) []byte {
 	}
 	return strconv.AppendInt(append(b, key...), v, 10)
 }
-
-// StackString renders a record's header stack like
-// "Ethernet/Dot1Q/MPLS/IPv4/TCP".
-func (r *Record) StackString() string { return stackName(r.Stack) }
 
 // stackName renders a header stack like "Ethernet/Dot1Q/MPLS/IPv4/TCP".
 func stackName(stack []wire.LayerType) string {

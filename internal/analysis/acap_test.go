@@ -119,7 +119,7 @@ func TestAcapEncoderMatchesJSON(t *testing.T) {
 		for i, site := range corpus {
 			a := &Acap{Site: fmt.Sprintf("C%d", i)}
 			for _, f := range site[0] {
-				a.Records = append(a.Records, DigestFrame(f.ts, f.data, f.wireLen))
+				a.Records = append(a.Records, DigestFrame(f.TS, f.Data, f.WireLen))
 			}
 			a.SampleStartNanos = a.Records[0].TimestampNanos
 			acaps = append(acaps, a)
@@ -198,19 +198,19 @@ func TestFrameRecordAllocFree(t *testing.T) {
 	var pkt wire.Packet
 	decodeAllocs := testing.AllocsPerRun(3, func() {
 		for _, f := range frames {
-			pkt.Reset(f.data, wire.LayerTypeEthernet, wire.NoCopy)
+			pkt.Reset(f.Data, wire.LayerTypeEthernet, wire.NoCopy)
 		}
 	})
 
-	// Far fewer heavy-hitter slots than flows, so Add evicts on most
-	// frames.
-	d := NewDigester(DigestOptions{HeavyK: 8})
+	// The corpus holds far more flows than the heavy-hitter summary has
+	// slots, so Add evicts.
+	d := NewDigester(DigestOptions{})
 	d.StartSample("S")
 	var enc AcapEncoder
 	enc.Begin(io.Discard, "S", 0)
 	pass := func() {
 		for _, f := range frames {
-			if err := d.Frame(f.ts, f.data, f.wireLen); err != nil {
+			if err := d.Frame(f.TS, f.Data, f.WireLen); err != nil {
 				t.Fatal(err)
 			}
 			if err := enc.Write(d.Record()); err != nil {
@@ -219,6 +219,9 @@ func TestFrameRecordAllocFree(t *testing.T) {
 		}
 	}
 	pass()
+	if n := d.Flows().HotFlows(); n <= heavyK {
+		t.Fatalf("%d flows for %d heavy-hitter slots: Add never evicts", n, heavyK)
+	}
 	allocs := testing.AllocsPerRun(3, pass)
 	t.Logf("%d frames: %.0f allocations per pass, %.0f of them in the wire decode", len(frames), allocs, decodeAllocs)
 	if allocs > decodeAllocs {

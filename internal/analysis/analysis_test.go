@@ -35,6 +35,23 @@ func sampleAcap(t testing.TB, site string, seed uint64, frames int) *Acap {
 	return a
 }
 
+// foldAcaps folds the acaps' records through a fresh Digester, one
+// sample per acap.
+func foldAcaps(t testing.TB, acaps ...*Acap) *Digester {
+	t.Helper()
+	d := NewDigester(DigestOptions{})
+	for _, a := range acaps {
+		d.StartSample(a.Site)
+		for i := range a.Records {
+			if err := d.Fold(&a.Records[i]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d.EndSample()
+	}
+	return d
+}
+
 func TestDigestFrameBasics(t *testing.T) {
 	p := trafficgen.MakeSiteProfiles(1, 30)[4] // rich profile class
 	g := trafficgen.NewGenerator(p, 3)
@@ -48,10 +65,10 @@ func TestDigestFrameBasics(t *testing.T) {
 		t.Errorf("metadata = %+v", rec)
 	}
 	if len(rec.Stack) < 3 {
-		t.Errorf("stack = %v", rec.StackString())
+		t.Errorf("stack = %v", rec.Stack)
 	}
 	if rec.Stack[0] != wire.LayerTypeEthernet || rec.Stack[1] != wire.LayerTypeDot1Q {
-		t.Errorf("stack = %v", rec.StackString())
+		t.Errorf("stack = %v", rec.Stack)
 	}
 	if rec.Flow.VLANID != fs.VLANID {
 		t.Errorf("flow VLAN = %d, want %d", rec.Flow.VLANID, fs.VLANID)
@@ -79,20 +96,27 @@ func TestDigestFromPcap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := Digest("S0", rd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(a.Records) != len(tfs) {
-		t.Errorf("records = %d, want %d", len(a.Records), len(tfs))
-	}
-	for _, r := range a.Records {
+	d := NewDigester(DigestOptions{})
+	d.StartSample("S0")
+	err = rd.ForEach(func(rec *pcap.Record) error {
+		if err := d.Frame(rec.TimestampNanos, rec.Data, rec.OriginalLength); err != nil {
+			return err
+		}
+		r := d.Record()
 		if r.StoredLen > 200 {
 			t.Errorf("stored %d exceeds snaplen", r.StoredLen)
 		}
 		if r.WireLen < r.StoredLen {
 			t.Errorf("wire %d < stored %d", r.WireLen, r.StoredLen)
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.EndSample()
+	if d.Frames() != len(tfs) {
+		t.Errorf("frames = %d, want %d", d.Frames(), len(tfs))
 	}
 }
 
@@ -153,11 +177,11 @@ func TestVLANDistinguishesFlows(t *testing.T) {
 }
 
 func TestFrameSizeHistogram(t *testing.T) {
-	recs := []Record{
+	a := &Acap{Site: "S", Records: []Record{
 		{WireLen: 64}, {WireLen: 100}, {WireLen: 100}, {WireLen: 1600},
 		{WireLen: 2000}, {WireLen: 9000}, {WireLen: 10000},
-	}
-	h := FrameSizeHistogram(recs)
+	}}
+	h := foldAcaps(t, a).FrameSizeHist()
 	if h[0] != 1 { // <=64
 		t.Errorf("bucket0 = %d", h[0])
 	}
@@ -178,19 +202,22 @@ func TestFrameSizeHistogram(t *testing.T) {
 	}
 }
 
+// TestJumboFraction: a site's jumbo count, which Fig. 15 divides by its
+// frames, counts frames above JumboThreshold and no others.
 func TestJumboFraction(t *testing.T) {
-	recs := []Record{{WireLen: 1518}, {WireLen: 1519}, {WireLen: 2000}, {WireLen: 64}}
-	if f := JumboFraction(recs); f != 0.5 {
-		t.Errorf("jumbo fraction = %v", f)
+	a := &Acap{Site: "S", Records: []Record{{WireLen: 1518}, {WireLen: 1519}, {WireLen: 2000}, {WireLen: 64}}}
+	_, frames, jumbo, ok := foldAcaps(t, a).SiteFrameSizeHist("S")
+	if !ok || float64(jumbo)/float64(frames) != 0.5 {
+		t.Errorf("jumbo %d of %d frames (site seen %v), want half", jumbo, frames, ok)
 	}
-	if JumboFraction(nil) != 0 {
-		t.Error("empty should be 0")
+	if _, _, _, ok := foldAcaps(t).SiteFrameSizeHist("S"); ok {
+		t.Error("an unseen site has a histogram")
 	}
 }
 
 func TestHeaderOccurrenceEthernetOver100(t *testing.T) {
 	a := sampleAcap(t, "S4", 4, 2000) // profile with pseudowires
-	occ := HeaderOccurrence(a.Records)
+	occ := foldAcaps(t, a).HeaderOccurrence()
 	if occ[wire.LayerTypeEthernet] <= 100 {
 		t.Errorf("Ethernet occurrence = %.1f%%, want >100%% (pseudowires)", occ[wire.LayerTypeEthernet])
 	}
@@ -206,11 +233,10 @@ func TestHeaderOccurrenceEthernetOver100(t *testing.T) {
 }
 
 func TestHeaderStatsBySite(t *testing.T) {
-	acaps := []*Acap{
+	stats := foldAcaps(t,
 		sampleAcap(t, "S0", 0, 800), // bulk-heavy profile: few headers
 		sampleAcap(t, "S4", 4, 800), // rich profile: many headers
-	}
-	stats := HeaderStatsBySite(acaps)
+	).SiteHeaderStats()
 	if len(stats) != 2 {
 		t.Fatalf("stats = %v", stats)
 	}
@@ -244,7 +270,10 @@ func TestFlowsInSampleAndHistogram(t *testing.T) {
 func TestAggregateFlows(t *testing.T) {
 	a1 := sampleAcap(t, "S2", 2, 1000)
 	a2 := sampleAcap(t, "S2", 2, 1000) // same seed: same flows reappear
-	flows := AggregateFlows([]*Acap{a1, a2})
+	flows, err := foldAcaps(t, a1, a2).Flows().Aggregates(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(flows) == 0 {
 		t.Fatal("no flows")
 	}
@@ -305,23 +334,23 @@ func TestAcapSerialization(t *testing.T) {
 }
 
 func TestCSVEmitters(t *testing.T) {
-	a := sampleAcap(t, "S6", 6, 800)
+	d := foldAcaps(t, sampleAcap(t, "S6", 6, 800))
 	var buf bytes.Buffer
-	if err := WriteFrameSizeCSV(&buf, a.Records); err != nil {
+	if err := WriteFrameSizeHistCSV(&buf, d.FrameSizeHist()); err != nil {
 		t.Fatal(err)
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines != len(FrameSizeBuckets)+2 {
 		t.Errorf("frame-size CSV lines = %d", lines)
 	}
 	buf.Reset()
-	if err := WriteHeaderOccurrenceCSV(&buf, a.Records); err != nil {
+	if err := WriteHeaderOccurrenceMapCSV(&buf, d.HeaderOccurrence()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.HasPrefix(buf.String(), "header,percent_of_frames\n") {
 		t.Errorf("header CSV = %.60s", buf.String())
 	}
 	buf.Reset()
-	if err := WriteSiteHeaderStatsCSV(&buf, HeaderStatsBySite([]*Acap{a})); err != nil {
+	if err := WriteSiteHeaderStatsCSV(&buf, d.SiteHeaderStats()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "S6") {
@@ -331,11 +360,15 @@ func TestCSVEmitters(t *testing.T) {
 	if err := WriteFlowCountCSV(&buf, []int{100, 5000}); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "flows_in_sample") {
-		t.Error("flow count CSV missing header")
+	if got, want := buf.String(), "flows_in_sample,samples\n<=100,1\n101-300,0\n301-1000,0\n1001-3000,0\n3001-10000,1\n10001-20000,0\n20001-50000,0\n>50000,0\n"; got != want {
+		t.Errorf("flow count CSV\n%s\nwant\n%s", got, want)
 	}
 	buf.Reset()
-	if err := WriteFlowAggregateCSV(&buf, AggregateFlows([]*Acap{a}), 10); err != nil {
+	flows, err := d.Flows().Aggregates(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteFlowAggregateCSV(&buf, flows, 10); err != nil {
 		t.Fatal(err)
 	}
 	if lines := strings.Count(buf.String(), "\n"); lines > 11 {

@@ -1,10 +1,6 @@
 package analysis
 
-import (
-	"sort"
-
-	"repro/internal/wire"
-)
+import "repro/internal/wire"
 
 // FrameSizeBuckets are the bucket upper bounds used in the paper's
 // frame-size breakdown. Bucket i covers (lower, FrameSizeBuckets[i]],
@@ -40,16 +36,6 @@ func itoa(n int) string {
 // JumboThreshold is the wire length above which a frame counts as jumbo.
 const JumboThreshold = 1518
 
-// FrameSizeHistogram counts frames per size bucket (by original wire
-// length). The final slot counts frames above the last bucket.
-func FrameSizeHistogram(recs []Record) []int {
-	h := make([]int, len(FrameSizeBuckets)+1)
-	for _, r := range recs {
-		h[sizeBucket(r.WireLen)]++
-	}
-	return h
-}
-
 func sizeBucket(n int) int {
 	for i, ub := range FrameSizeBuckets {
 		if n <= ub {
@@ -59,40 +45,6 @@ func sizeBucket(n int) int {
 	return len(FrameSizeBuckets)
 }
 
-// JumboFraction is the fraction of frames above JumboThreshold bytes.
-func JumboFraction(recs []Record) float64 {
-	if len(recs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, r := range recs {
-		if r.WireLen > JumboThreshold {
-			n++
-		}
-	}
-	return float64(n) / float64(len(recs))
-}
-
-// HeaderOccurrence reports, for each layer type, occurrences per frame as
-// a percentage of frames. Ethernet exceeds 100% when frames carry inner
-// Ethernet headers (pseudowires), exactly as in the paper's Fig. 12.
-func HeaderOccurrence(recs []Record) map[wire.LayerType]float64 {
-	if len(recs) == 0 {
-		return nil
-	}
-	counts := make(map[wire.LayerType]int)
-	for _, r := range recs {
-		for _, t := range r.Stack {
-			counts[t]++
-		}
-	}
-	out := make(map[wire.LayerType]float64, len(counts))
-	for t, c := range counts {
-		out[t] = float64(c) / float64(len(recs)) * 100
-	}
-	return out
-}
-
 // SiteHeaderStats summarizes Fig. 11 for one site: the number of distinct
 // header types observed and the deepest header stack.
 type SiteHeaderStats struct {
@@ -100,42 +52,6 @@ type SiteHeaderStats struct {
 	DistinctHeaders int
 	MaxStackDepth   int
 	Frames          int
-}
-
-// HeaderStatsBySite computes Fig. 11's two curves from a set of acaps.
-func HeaderStatsBySite(acaps []*Acap) []SiteHeaderStats {
-	bySite := make(map[string]*SiteHeaderStats)
-	order := []string{}
-	distinct := make(map[string]map[wire.LayerType]bool)
-	for _, a := range acaps {
-		st, ok := bySite[a.Site]
-		if !ok {
-			st = &SiteHeaderStats{Site: a.Site}
-			bySite[a.Site] = st
-			order = append(order, a.Site)
-			distinct[a.Site] = make(map[wire.LayerType]bool)
-		}
-		for _, r := range a.Records {
-			st.Frames++
-			if len(r.Stack) > st.MaxStackDepth {
-				st.MaxStackDepth = len(r.Stack)
-			}
-			for _, t := range r.Stack {
-				distinct[a.Site][t] = true
-			}
-		}
-	}
-	out := make([]SiteHeaderStats, 0, len(order))
-	for _, site := range order {
-		st := bySite[site]
-		st.DistinctHeaders = len(distinct[site])
-		out = append(out, *st)
-	}
-	// Fig. 11 presents sites ordered by distinct-header count.
-	sort.SliceStable(out, func(i, j int) bool {
-		return out[i].DistinctHeaders > out[j].DistinctHeaders
-	})
-	return out
 }
 
 // FlowsInSample counts distinct canonical flow keys in one sample
@@ -150,6 +66,20 @@ func FlowsInSample(a *Acap) int {
 
 // FlowCountBuckets are the Fig. 13 histogram boundaries.
 var FlowCountBuckets = []int{100, 300, 1000, 3000, 10000, 20000, 50000}
+
+// FlowCountBucketLabel names bucket i of FlowCountHistogram, e.g.
+// "<=100", "101-300" or ">50000".
+func FlowCountBucketLabel(i int) string {
+	b := FlowCountBuckets
+	switch {
+	case i == 0:
+		return "<=" + itoa(b[0])
+	case i < len(b):
+		return itoa(b[i-1]+1) + "-" + itoa(b[i])
+	default:
+		return ">" + itoa(b[len(b)-1])
+	}
+}
 
 // FlowCountHistogram buckets per-sample flow counts.
 func FlowCountHistogram(counts []int) []int {
@@ -171,32 +101,6 @@ type FlowAggregate struct {
 	Bytes  int64
 }
 
-// AggregateFlows merges flow snippets across samples, as the paper does
-// to estimate flow sizes (most flows short, some ~100 GB).
-func AggregateFlows(acaps []*Acap) []FlowAggregate {
-	agg := make(map[FlowKey]*FlowAggregate)
-	order := []FlowKey{}
-	for _, a := range acaps {
-		for _, r := range a.Records {
-			k := r.Flow.Canonical()
-			fa, ok := agg[k]
-			if !ok {
-				fa = &FlowAggregate{Key: k}
-				agg[k] = fa
-				order = append(order, k)
-			}
-			fa.Frames++
-			fa.Bytes += int64(r.WireLen)
-		}
-	}
-	out := make([]FlowAggregate, 0, len(order))
-	for _, k := range order {
-		out = append(out, *agg[k])
-	}
-	sort.SliceStable(out, func(i, j int) bool { return out[i].Bytes > out[j].Bytes })
-	return out
-}
-
 // ProtocolShare summarizes the headline Fig. 12 numbers.
 type ProtocolShare struct {
 	IPv4Percent float64
@@ -208,7 +112,8 @@ type ProtocolShare struct {
 	EthPercent  float64 // may exceed 100
 }
 
-// Shares extracts the headline percentages from a HeaderOccurrence map.
+// Shares extracts the headline percentages from a header-occurrence map
+// (Digester.HeaderOccurrence).
 func Shares(occ map[wire.LayerType]float64) ProtocolShare {
 	return ProtocolShare{
 		IPv4Percent: occ[wire.LayerTypeIPv4],

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"encoding/csv"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -14,14 +13,8 @@ import (
 // Each writer produces a header row followed by data rows; numbers use
 // plain decimal formatting so downstream plotting scripts stay simple.
 
-// WriteFrameSizeCSV emits the frame-size histogram (Fig. 15 per site /
+// WriteFrameSizeHistCSV emits a frame-size histogram (Fig. 15 per site /
 // Section 8.2 aggregate): bucket,count,percent.
-func WriteFrameSizeCSV(w io.Writer, recs []Record) error {
-	return WriteFrameSizeHistCSV(w, FrameSizeHistogram(recs))
-}
-
-// WriteFrameSizeHistCSV is WriteFrameSizeCSV on an already-computed
-// histogram (the streaming path's entry point).
 func WriteFrameSizeHistCSV(w io.Writer, h []int) error {
 	total := 0
 	for _, c := range h {
@@ -48,14 +41,8 @@ func WriteFrameSizeHistCSV(w io.Writer, h []int) error {
 	return cw.Error()
 }
 
-// WriteHeaderOccurrenceCSV emits Fig. 12: header,percent (sorted
-// descending).
-func WriteHeaderOccurrenceCSV(w io.Writer, recs []Record) error {
-	return WriteHeaderOccurrenceMapCSV(w, HeaderOccurrence(recs))
-}
-
-// WriteHeaderOccurrenceMapCSV is WriteHeaderOccurrenceCSV on an
-// already-computed occurrence map (the streaming path's entry point).
+// WriteHeaderOccurrenceMapCSV emits Fig. 12 from a header-occurrence
+// map: header,percent (sorted descending).
 func WriteHeaderOccurrenceMapCSV(w io.Writer, occ map[wire.LayerType]float64) error {
 	type row struct {
 		t   wire.LayerType
@@ -110,16 +97,7 @@ func WriteFlowCountCSV(w io.Writer, counts []int) error {
 		return err
 	}
 	for i, c := range h {
-		label := ""
-		switch {
-		case i == 0:
-			label = fmt.Sprintf("<=%d", FlowCountBuckets[0])
-		case i < len(FlowCountBuckets):
-			label = fmt.Sprintf("%d-%d", FlowCountBuckets[i-1]+1, FlowCountBuckets[i])
-		default:
-			label = fmt.Sprintf(">%d", FlowCountBuckets[len(FlowCountBuckets)-1])
-		}
-		if err := cw.Write([]string{label, strconv.Itoa(c)}); err != nil {
+		if err := cw.Write([]string{FlowCountBucketLabel(i), strconv.Itoa(c)}); err != nil {
 			return err
 		}
 	}
@@ -150,14 +128,8 @@ func WriteFlowAggregateCSV(w io.Writer, flows []FlowAggregate, n int) error {
 	return cw.Error()
 }
 
-// WriteEncapsulationCSV emits the encapsulation census: pattern,frames.
+// WriteStackPatternsCSV emits the encapsulation census: pattern,frames.
 // Only the top n patterns are written when n > 0.
-func WriteEncapsulationCSV(w io.Writer, recs []Record, n int) error {
-	return WriteStackPatternsCSV(w, EncapsulationCensus(recs), n)
-}
-
-// WriteStackPatternsCSV is WriteEncapsulationCSV on an already-computed
-// census (the streaming path's entry point).
 func WriteStackPatternsCSV(w io.Writer, ps []StackPattern, n int) error {
 	if n <= 0 || n > len(ps) {
 		n = len(ps)

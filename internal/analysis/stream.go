@@ -10,14 +10,13 @@ import (
 	"repro/internal/wire"
 )
 
-// This file is the streaming Analyze step: a single-pass, bounded-memory
-// digest pipeline. Where the in-memory functions (FrameSizeHistogram,
-// HeaderOccurrence, FlowsInSample, AggregateFlows, ...) each walk a
-// materialized []Record or []*Acap, the Digester folds every statistic
-// in one pass over frames delivered through a reusable buffer, decoding
-// each frame once with a pooled wire.Packet. Results are defined to be
-// identical — bit-for-bit, including orderings — to the in-memory
-// functions applied to the same frames; the equivalence tests pin that.
+// This file is the Analyze step: a single-pass, bounded-memory digest
+// pipeline. The Digester folds every statistic in one pass over frames
+// delivered through a reusable buffer, decoding each frame once with a
+// pooled wire.Packet. Its results are defined to be identical —
+// bit-for-bit, including orderings — to those of the materialized
+// pipeline in package analysistest, which folds every record held in
+// memory; the equivalence tests pin that.
 //
 // Memory is bounded three ways: the packet/stack/pattern scratch is
 // reused per frame, the flow table spills its coldest entries to a
@@ -36,24 +35,24 @@ type DigestOptions struct {
 	// sketches keep approximate totals, but Aggregates loses the exact
 	// counts for spilled flows.
 	Spill *flowstore.Writer
-	// HLLPrecision sets the cardinality sketch's register exponent
-	// (default 14 ≈ 0.8% error in 16 KiB).
-	HLLPrecision uint8
-	// HeavyK sets the heavy-hitter summary capacity (default 64).
-	HeavyK int
 }
+
+// The flow table's sketch sizes.
+const (
+	// hllPrecision is the cardinality sketch's register exponent: about
+	// 0.8% standard error in 16 KiB.
+	hllPrecision = 14
+	// heavyK is the heavy-hitter summary's capacity.
+	heavyK = 64
+)
 
 // Digester folds analysis statistics over a stream of frames grouped
 // into site samples. Not safe for concurrent use.
 type Digester struct {
-	opt DigestOptions
-
 	dec Decoder // Frame's
 
-	frames    int
-	truncated int
-	sizeHist  []int
-	jumbo     int
+	frames   int
+	sizeHist []int
 
 	headerCounts [wire.LayerTypeCount]int
 
@@ -90,18 +89,11 @@ type siteAcc struct {
 
 // NewDigester builds a streaming digester.
 func NewDigester(opt DigestOptions) *Digester {
-	if opt.HLLPrecision == 0 {
-		opt.HLLPrecision = 14
-	}
-	if opt.HeavyK == 0 {
-		opt.HeavyK = 64
-	}
 	return &Digester{
-		opt:      opt,
 		sizeHist: make([]int, len(FrameSizeBuckets)+1),
 		sites:    make(map[string]*siteAcc),
 		census:   make(map[string]int),
-		flows:    NewFlowTable(opt.MaxHotFlows, opt.Spill, opt.HLLPrecision, opt.HeavyK),
+		flows:    NewFlowTable(opt.MaxHotFlows, opt.Spill),
 	}
 }
 
@@ -162,19 +154,15 @@ func (d *Digester) Fold(r *Record) error {
 	sa := d.curSite
 	sa.frames++
 
-	// Size statistics (by original wire length, as the in-memory pass).
+	// Size statistics, by original wire length.
 	sb := sizeBucket(r.WireLen)
 	d.sizeHist[sb]++
 	sa.sizeHist[sb]++
 	if r.WireLen > JumboThreshold {
-		d.jumbo++
 		sa.jumbo++
 	}
 	if len(r.Stack) > sa.maxDepth {
 		sa.maxDepth = len(r.Stack)
-	}
-	if r.DecodeTruncated {
-		d.truncated++
 	}
 	if r.TCP.Present {
 		d.flags.add(r.TCP)
@@ -224,18 +212,21 @@ func (d *Digester) DigestStream(site string, s pcap.Stream) error {
 	return err
 }
 
-// --- Result views: each reproduces its in-memory counterpart exactly ---
+// --- Result views ---
 
 // Frames returns the total frames digested.
 func (d *Digester) Frames() int { return d.frames }
 
-// FrameSizeHist returns FrameSizeHistogram over every digested frame.
+// FrameSizeHist returns the frame count per FrameSizeBuckets bucket, by
+// original wire length, over every digested frame; the final slot counts
+// frames above the last bound.
 func (d *Digester) FrameSizeHist() []int {
 	return append([]int(nil), d.sizeHist...)
 }
 
-// SiteFrameSizeHist returns the per-site histogram and frame count
-// (Fig. 15's per-site rows); ok is false for unseen sites.
+// SiteFrameSizeHist returns the per-site histogram, frame count and
+// count of frames above JumboThreshold (Fig. 15's per-site rows); ok is
+// false for unseen sites.
 func (d *Digester) SiteFrameSizeHist(site string) (hist []int, frames, jumbo int, ok bool) {
 	sa, found := d.sites[site]
 	if !found {
@@ -244,24 +235,10 @@ func (d *Digester) SiteFrameSizeHist(site string) (hist []int, frames, jumbo int
 	return append([]int(nil), sa.sizeHist...), sa.frames, sa.jumbo, true
 }
 
-// JumboFrac returns JumboFraction over every digested frame.
-func (d *Digester) JumboFrac() float64 {
-	if d.frames == 0 {
-		return 0
-	}
-	return float64(d.jumbo) / float64(d.frames)
-}
-
-// TruncatedShare returns TruncatedDecodeShare over every digested frame.
-func (d *Digester) TruncatedShare() float64 {
-	if d.frames == 0 {
-		return 0
-	}
-	return float64(d.truncated) / float64(d.frames)
-}
-
-// HeaderOccurrence returns header occurrences per frame as percentages,
-// exactly as the in-memory HeaderOccurrence.
+// HeaderOccurrence reports, for each layer type, occurrences per frame
+// as a percentage of frames; nil before the first frame. Ethernet
+// exceeds 100% when frames carry inner Ethernet headers (pseudowires),
+// exactly as in the paper's Fig. 12.
 func (d *Digester) HeaderOccurrence() map[wire.LayerType]float64 {
 	if d.frames == 0 {
 		return nil
@@ -280,8 +257,8 @@ func (d *Digester) SiteOrder() []string {
 	return append([]string(nil), d.siteOrder...)
 }
 
-// SiteHeaderStats returns HeaderStatsBySite's rows: first-seen site
-// order, stably sorted by distinct-header count descending.
+// SiteHeaderStats returns Fig. 11's rows: first-seen site order, stably
+// sorted by distinct-header count descending.
 func (d *Digester) SiteHeaderStats() []SiteHeaderStats {
 	out := make([]SiteHeaderStats, 0, len(d.siteOrder))
 	for _, site := range d.siteOrder {
@@ -299,7 +276,7 @@ func (d *Digester) SiteHeaderStats() []SiteHeaderStats {
 	return out
 }
 
-// SiteProtocolShares returns ProtocolShareBySite's rows in first-seen
+// SiteProtocolShares returns each site's protocol shares in first-seen
 // site order.
 func (d *Digester) SiteProtocolShares() []SiteProtocolShare {
 	out := make([]SiteProtocolShare, 0, len(d.siteOrder))
@@ -318,8 +295,9 @@ func (d *Digester) SiteProtocolShares() []SiteProtocolShare {
 	return out
 }
 
-// EncapCensus returns EncapsulationCensus's rows: first-seen pattern
-// order, stably sorted by frequency descending then pattern.
+// EncapCensus returns the distinct header-stack patterns, named like
+// "Ethernet/Dot1Q/MPLS/IPv4/TCP": first-seen pattern order, stably
+// sorted by frequency descending then pattern.
 func (d *Digester) EncapCensus() []StackPattern {
 	out := append([]StackPattern(nil), d.patterns...)
 	sort.SliceStable(out, func(i, j int) bool {
@@ -331,7 +309,8 @@ func (d *Digester) EncapCensus() []StackPattern {
 	return out
 }
 
-// TCPFlags returns CountTCPFlags's tally over every digested frame.
+// TCPFlags returns the control-flag tally of every digested frame's
+// first TCP layer.
 func (d *Digester) TCPFlags() TCPFlagCounts { return d.flags }
 
 // SampleFlowCounts returns FlowsInSample per sample, in sample order
@@ -429,13 +408,7 @@ func flowKeyLess(a, b FlowKey) bool {
 }
 
 // NewFlowTable builds a table. maxHot <= 0 disables spilling.
-func NewFlowTable(maxHot int, spill *flowstore.Writer, hllPrecision uint8, heavyK int) *FlowTable {
-	if hllPrecision == 0 {
-		hllPrecision = 14
-	}
-	if heavyK <= 0 {
-		heavyK = 64
-	}
+func NewFlowTable(maxHot int, spill *flowstore.Writer) *FlowTable {
 	return &FlowTable{
 		hot:    make(map[FlowKey]*flowEntry),
 		maxHot: maxHot,
@@ -706,9 +679,9 @@ func (t *FlowTable) HeavyHitters(n int) []sketch.HeavyK[FlowKey] {
 	return t.heavy.Top(n)
 }
 
-// Aggregates merges hot and spilled rows into AggregateFlows's exact
-// output: one row per canonical key, ordered by first observation
-// (insertion order), stably re-sorted by Bytes descending. store is the
+// Aggregates merges hot and spilled rows into one row per canonical
+// key, ordered by first observation (insertion order), stably re-sorted
+// by Bytes descending. store is the
 // reopened spill target; pass nil when nothing spilled.
 func (t *FlowTable) Aggregates(store *flowstore.Store) ([]FlowAggregate, error) {
 	type agg struct {

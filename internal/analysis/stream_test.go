@@ -3,7 +3,6 @@ package analysis
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -19,13 +18,16 @@ import (
 	"repro/internal/wire"
 )
 
-// equivCorpus builds a deterministic multi-site corpus: per site a list
-// of samples, each sample a list of (ts, stored bytes, wire length).
+// equivFrame is one frame of an equivalence corpus: its timestamp, its
+// stored (possibly truncated) bytes and its wire length.
 type equivFrame struct {
-	ts      int64
-	data    []byte
-	wireLen int
+	TS      int64
+	Data    []byte
+	WireLen int
 }
+
+// equivCorpus builds a deterministic multi-site corpus: per site a list
+// of samples, each sample a list of frames.
 
 func equivCorpus(t testing.TB, seed uint64, sites, samples, frames int) [][][]equivFrame {
 	t.Helper()
@@ -45,7 +47,7 @@ func equivCorpus(t testing.TB, seed uint64, sites, samples, frames int) [][][]eq
 				if len(data) > 200 {
 					data = data[:200]
 				}
-				smp[j] = equivFrame{ts: int64(tf.At), data: data, wireLen: len(tf.Data)}
+				smp[j] = equivFrame{TS: int64(tf.At), Data: data, WireLen: len(tf.Data)}
 			}
 			out[i][s] = smp
 		}
@@ -62,223 +64,20 @@ func hostileMutate(corpus [][][]equivFrame) {
 			for j := range smp {
 				switch n % 17 {
 				case 3:
-					if len(smp[j].data) > 9 {
-						smp[j].data = smp[j].data[:9] // mid-Ethernet cut
+					if len(smp[j].Data) > 9 {
+						smp[j].Data = smp[j].Data[:9] // mid-Ethernet cut
 					}
 				case 7:
-					garbage := make([]byte, len(smp[j].data))
+					garbage := make([]byte, len(smp[j].Data))
 					for i := range garbage {
 						garbage[i] = byte(i*31 + n)
 					}
-					smp[j].data = garbage
+					smp[j].Data = garbage
 				case 11:
-					smp[j].data = nil // zero stored bytes
+					smp[j].Data = nil // zero stored bytes
 				}
 				n++
 			}
-		}
-	}
-}
-
-// firstTCP summarizes a frame's first TCP layer from a decode of its
-// own, as CountTCPFlags finds it.
-func firstTCP(data []byte) TCPSummary {
-	pkt := wire.NewPacket(data, wire.LayerTypeEthernet, wire.Default)
-	tcp, ok := pkt.Layer(wire.LayerTypeTCP).(*wire.TCP)
-	if !ok {
-		return TCPSummary{}
-	}
-	return TCPSummary{Present: true, Flags: tcp.Flags, Empty: len(tcp.LayerPayload()) == 0}
-}
-
-// runBoth feeds the corpus through the in-memory pipeline (acaps + raw
-// frame list) and the streaming digester (spilling aggressively) and
-// returns both sides' views. Every frame's Digester.Record must equal
-// its DigestFrame record, and its TCP summary the frame's first TCP
-// layer.
-func runBoth(t *testing.T, corpus [][][]equivFrame, siteNames []string) (acaps []*Acap, raw [][]byte, d *Digester, spillPath string) {
-	t.Helper()
-	spillPath = filepath.Join(t.TempDir(), "flows.seg")
-	w, err := flowstore.Create(spillPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// MaxHotFlows far below the corpus flow count forces many spills.
-	d = NewDigester(DigestOptions{MaxHotFlows: 64, Spill: w})
-	for i, site := range corpus {
-		for _, smp := range site {
-			a := &Acap{Site: siteNames[i]}
-			d.StartSample(siteNames[i])
-			for _, f := range smp {
-				rec := DigestFrame(f.ts, f.data, f.wireLen)
-				a.Records = append(a.Records, rec)
-				raw = append(raw, f.data)
-				if err := d.Frame(f.ts, f.data, f.wireLen); err != nil {
-					t.Fatal(err)
-				}
-				got := *d.Record()
-				if slices.Equal(got.Stack, rec.Stack) {
-					got.Stack = rec.Stack // nil and empty stacks encode alike
-				}
-				if !reflect.DeepEqual(got, rec) {
-					t.Fatalf("Digester.Record %+v, DigestFrame %+v", got, rec)
-				}
-				if want := firstTCP(f.data); got.TCP != want {
-					t.Fatalf("Record.TCP %+v, the frame's first TCP layer %+v", got.TCP, want)
-				}
-			}
-			d.EndSample()
-			acaps = append(acaps, a)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return acaps, raw, d, spillPath
-}
-
-func checkEquivalence(t *testing.T, acaps []*Acap, raw [][]byte, d *Digester, spillPath string) {
-	t.Helper()
-	var recs []Record
-	for _, a := range acaps {
-		recs = append(recs, a.Records...)
-	}
-
-	if got, want := d.FrameSizeHist(), FrameSizeHistogram(recs); !equalInts(got, want) {
-		t.Errorf("FrameSizeHist: %v != %v", got, want)
-	}
-	if got, want := d.JumboFrac(), JumboFraction(recs); got != want {
-		t.Errorf("JumboFrac: %v != %v", got, want)
-	}
-	if got, want := d.TruncatedShare(), TruncatedDecodeShare(recs); got != want {
-		t.Errorf("TruncatedShare: %v != %v", got, want)
-	}
-
-	gotOcc, wantOcc := d.HeaderOccurrence(), HeaderOccurrence(recs)
-	if len(gotOcc) != len(wantOcc) {
-		t.Errorf("HeaderOccurrence sizes: %d != %d", len(gotOcc), len(wantOcc))
-	}
-	for k, v := range wantOcc {
-		if gotOcc[k] != v {
-			t.Errorf("HeaderOccurrence[%v]: %v != %v", k, gotOcc[k], v)
-		}
-	}
-
-	gotSH, wantSH := d.SiteHeaderStats(), HeaderStatsBySite(acaps)
-	if len(gotSH) != len(wantSH) {
-		t.Fatalf("SiteHeaderStats sizes: %d != %d", len(gotSH), len(wantSH))
-	}
-	for i := range wantSH {
-		if gotSH[i] != wantSH[i] {
-			t.Errorf("SiteHeaderStats[%d]: %+v != %+v", i, gotSH[i], wantSH[i])
-		}
-	}
-
-	gotPS, wantPS := d.SiteProtocolShares(), ProtocolShareBySite(acaps)
-	if len(gotPS) != len(wantPS) {
-		t.Fatalf("SiteProtocolShares sizes: %d != %d", len(gotPS), len(wantPS))
-	}
-	for i := range wantPS {
-		if gotPS[i] != wantPS[i] {
-			t.Errorf("SiteProtocolShares[%d]: %+v != %+v", i, gotPS[i], wantPS[i])
-		}
-	}
-
-	gotEC, wantEC := d.EncapCensus(), EncapsulationCensus(recs)
-	if len(gotEC) != len(wantEC) {
-		t.Fatalf("EncapCensus sizes: %d != %d", len(gotEC), len(wantEC))
-	}
-	for i := range wantEC {
-		if gotEC[i] != wantEC[i] {
-			t.Errorf("EncapCensus[%d]: %+v != %+v", i, gotEC[i], wantEC[i])
-		}
-	}
-
-	if got, want := d.TCPFlags(), CountTCPFlags(raw); got != want {
-		t.Errorf("TCPFlags: %+v != %+v", got, want)
-	}
-
-	gotFC := d.SampleFlowCounts()
-	if len(gotFC) != len(acaps) {
-		t.Fatalf("SampleFlowCounts: %d samples, want %d", len(gotFC), len(acaps))
-	}
-	for i, a := range acaps {
-		if want := FlowsInSample(a); gotFC[i] != want {
-			t.Errorf("sample %d flow count: %d != %d", i, gotFC[i], want)
-		}
-	}
-
-	// Aggregates must match row-for-row, including order, with the
-	// spilled rows merged back from disk.
-	st, err := flowstore.Open(spillPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	if d.Flows().SpilledFlows() == 0 {
-		t.Error("corpus never spilled; raise flow count or lower MaxHotFlows")
-	}
-	gotAgg, err := d.Flows().Aggregates(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAgg := AggregateFlows(acaps)
-	if len(gotAgg) != len(wantAgg) {
-		t.Fatalf("Aggregates sizes: %d != %d", len(gotAgg), len(wantAgg))
-	}
-	for i := range wantAgg {
-		if gotAgg[i] != wantAgg[i] {
-			t.Fatalf("Aggregates[%d]: %+v != %+v", i, gotAgg[i], wantAgg[i])
-		}
-	}
-
-	// CSV artifacts must be byte-identical.
-	type csvPair struct {
-		name      string
-		mem, strm func(io.Writer) error
-	}
-	pairs := []csvPair{
-		{"frame_sizes",
-			func(w io.Writer) error { return WriteFrameSizeCSV(w, recs) },
-			func(w io.Writer) error { return WriteFrameSizeHistCSV(w, d.FrameSizeHist()) }},
-		{"header_occurrence",
-			func(w io.Writer) error { return WriteHeaderOccurrenceCSV(w, recs) },
-			func(w io.Writer) error { return WriteHeaderOccurrenceMapCSV(w, d.HeaderOccurrence()) }},
-		{"site_headers",
-			func(w io.Writer) error { return WriteSiteHeaderStatsCSV(w, wantSH) },
-			func(w io.Writer) error { return WriteSiteHeaderStatsCSV(w, d.SiteHeaderStats()) }},
-		{"flow_counts",
-			func(w io.Writer) error {
-				counts := make([]int, len(acaps))
-				for i, a := range acaps {
-					counts[i] = FlowsInSample(a)
-				}
-				return WriteFlowCountCSV(w, counts)
-			},
-			func(w io.Writer) error { return WriteFlowCountCSV(w, d.SampleFlowCounts()) }},
-		{"flow_aggregate",
-			func(w io.Writer) error { return WriteFlowAggregateCSV(w, wantAgg, 100) },
-			func(w io.Writer) error { return WriteFlowAggregateCSV(w, gotAgg, 100) }},
-		{"encapsulations",
-			func(w io.Writer) error { return WriteEncapsulationCSV(w, recs, 50) },
-			func(w io.Writer) error { return WriteStackPatternsCSV(w, gotEC, 50) }},
-		{"site_protocols",
-			func(w io.Writer) error { return WriteSiteProtocolCSV(w, wantPS) },
-			func(w io.Writer) error { return WriteSiteProtocolCSV(w, d.SiteProtocolShares()) }},
-		{"tcp_flags",
-			func(w io.Writer) error { return WriteTCPFlagsCSV(w, CountTCPFlags(raw)) },
-			func(w io.Writer) error { return WriteTCPFlagsCSV(w, d.TCPFlags()) }},
-	}
-	for _, p := range pairs {
-		var m, s bytes.Buffer
-		if err := p.mem(&m); err != nil {
-			t.Fatal(err)
-		}
-		if err := p.strm(&s); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(m.Bytes(), s.Bytes()) {
-			t.Errorf("%s.csv differs between in-memory and streamed paths", p.name)
 		}
 	}
 }
@@ -292,49 +91,24 @@ func readAll(t *testing.T, path string) []byte {
 	return b
 }
 
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// TestStreamEquivalenceClean pins the tentpole contract: the streaming
-// digester with aggressive spilling produces bit-identical statistics
-// and CSV artifacts to the in-memory pipeline on a clean corpus.
-func TestStreamEquivalenceClean(t *testing.T) {
-	corpus := equivCorpus(t, 11, 3, 2, 600)
-	acaps, raw, d, spill := runBoth(t, corpus, []string{"site-a", "site-b", "site-c"})
-	checkEquivalence(t, acaps, raw, d, spill)
-}
-
-// TestStreamEquivalenceHostile repeats the check on a corpus salted with
-// truncated, garbage, and empty frames — decode failures must fold into
-// both pipelines identically.
-func TestStreamEquivalenceHostile(t *testing.T) {
-	corpus := equivCorpus(t, 23, 3, 2, 500)
-	hostileMutate(corpus)
-	acaps, raw, d, spill := runBoth(t, corpus, []string{"site-x", "site-y", "site-z"})
-	checkEquivalence(t, acaps, raw, d, spill)
-}
-
 // TestStreamSketches checks the measured-error contract: the HLL's flow
 // cardinality estimate lands within 4 standard errors of the exact
 // count, and the heavy-hitter summary's top entry is the true top flow
 // with a valid overestimation bound.
 func TestStreamSketches(t *testing.T) {
 	corpus := equivCorpus(t, 31, 2, 2, 800)
-	acaps, _, d, _ := runBoth(t, corpus, []string{"s1", "s2"})
-
+	d := NewDigester(DigestOptions{MaxHotFlows: 64})
 	truth := map[FlowKey]uint64{}
-	for _, a := range acaps {
-		for _, r := range a.Records {
-			truth[r.Flow.Canonical()]++
+	for i, site := range corpus {
+		for _, smp := range site {
+			d.StartSample([]string{"s1", "s2"}[i])
+			for _, f := range smp {
+				if err := d.Frame(f.TS, f.Data, f.WireLen); err != nil {
+					t.Fatal(err)
+				}
+				truth[d.Record().Flow.Canonical()]++
+			}
+			d.EndSample()
 		}
 	}
 	est, stderr := d.Flows().CardinalityEstimate()
@@ -360,7 +134,7 @@ func TestStreamSketches(t *testing.T) {
 	}
 	if h.Key != topKey {
 		// Space-saving guarantees presence, not rank, for items above
-		// N/k; with k=64 over this corpus the true top flow must at
+		// N/k; with k=heavyK over this corpus the true top flow must at
 		// least appear in the summary.
 		found := false
 		for _, e := range d.Flows().HeavyHitters(0) {
@@ -390,7 +164,7 @@ func TestFlowTableSpillDeterminism(t *testing.T) {
 			for _, smp := range site {
 				d.StartSample([]string{"p", "q"}[i])
 				for _, f := range smp {
-					if err := d.Frame(f.ts, f.data, f.wireLen); err != nil {
+					if err := d.Frame(f.TS, f.Data, f.WireLen); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -412,19 +186,20 @@ func TestFlowTableSpillDeterminism(t *testing.T) {
 	}
 }
 
-// TestFlowTableReentryExact: with a hot set of four flows and three
-// heavy-hitter slots, flows spill and re-enter the hot set within one
-// sample many times over, and their entries are recycled. The table's
-// per-frame shortcuts must still give exact answers: each sample's
-// flow count equals FlowsInSample (a flow spilled and re-entering
-// counts once), the heavy hitters equal a TopK fed every frame through
-// Add, and the cardinality estimate equals an HLL fed every frame.
+// TestFlowTableReentryExact: with a hot set of four flows, and far more
+// flows than heavy-hitter slots, flows spill and re-enter the hot set
+// within one sample many times over, and their entries are recycled.
+// The table's per-frame shortcuts must still give exact answers: each
+// sample's flow count equals FlowsInSample (a flow spilled and
+// re-entering counts once), the heavy hitters equal a TopK fed every
+// frame through Add, and the cardinality estimate equals an HLL fed
+// every frame.
 func TestFlowTableReentryExact(t *testing.T) {
-	corpus := equivCorpus(t, 13, 2, 2, 400)
+	corpus := equivCorpus(t, 13, 2, 2, 2000)
 	hostileMutate(corpus)
-	d := NewDigester(DigestOptions{MaxHotFlows: 4, HeavyK: 3})
-	heavy := sketch.NewTopK[FlowKey](3, flowKeyLess, flowKeyHash)
-	hll := sketch.NewHLL(14)
+	d := NewDigester(DigestOptions{MaxHotFlows: 4})
+	heavy := sketch.NewTopK[FlowKey](heavyK, flowKeyLess, flowKeyHash)
+	hll := sketch.NewHLL(hllPrecision)
 	var want []int
 	distinct := map[FlowKey]bool{}
 	for i, site := range corpus {
@@ -432,10 +207,10 @@ func TestFlowTableReentryExact(t *testing.T) {
 			a := &Acap{Site: fmt.Sprint(i)}
 			d.StartSample(a.Site)
 			for _, f := range smp {
-				if err := d.Frame(f.ts, f.data, f.wireLen); err != nil {
+				if err := d.Frame(f.TS, f.Data, f.WireLen); err != nil {
 					t.Fatal(err)
 				}
-				rec := DigestFrame(f.ts, f.data, f.wireLen)
+				rec := DigestFrame(f.TS, f.Data, f.WireLen)
 				a.Records = append(a.Records, rec)
 				key := rec.Flow.Canonical()
 				distinct[key] = true
@@ -448,6 +223,9 @@ func TestFlowTableReentryExact(t *testing.T) {
 	}
 	if spilled := d.Flows().SpilledFlows(); spilled < int64(2*len(distinct)) {
 		t.Fatalf("%d spills of %d flows: too few for flows to re-enter the hot set", spilled, len(distinct))
+	}
+	if len(distinct) < 2*heavyK {
+		t.Fatalf("%d flows for %d heavy-hitter slots: too few to evict", len(distinct), heavyK)
 	}
 	if got := d.SampleFlowCounts(); !slices.Equal(got, want) {
 		t.Errorf("SampleFlowCounts %v, FlowsInSample %v", got, want)
@@ -532,7 +310,7 @@ func checkSpillsMatchModel(t *testing.T, withWriter bool) {
 			t.Fatal(err)
 		}
 	}
-	tab := NewFlowTable(maxHot, w, 0, 0)
+	tab := NewFlowTable(maxHot, w)
 	model := map[FlowKey]*flowEntry{}
 	var seq uint64
 	var wantRows []flowstore.Rec

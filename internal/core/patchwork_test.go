@@ -149,18 +149,20 @@ func TestBundlePcapsDecodeAndDigest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		acap, err := analysis.Digest(b.Site, rd)
-		if err != nil {
-			t.Fatal(err)
-		}
-		totalFrames += len(acap.Records)
-		for _, rec := range acap.Records {
+		var dec analysis.Decoder
+		err = rd.ForEach(func(r *pcap.Record) error {
+			rec := dec.Decode(r.TimestampNanos, r.Data, r.OriginalLength)
 			if rec.StoredLen > 200 {
 				t.Fatalf("record stored %d > truncation 200", rec.StoredLen)
 			}
 			if len(rec.Stack) == 0 {
 				t.Fatal("record with empty stack")
 			}
+			totalFrames++
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
 	}
 	if totalFrames == 0 {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/analysis"
@@ -246,9 +245,8 @@ func fig13From(counts []int) *Result {
 		Title:  "Frequency of flow counts per 20s traffic sample",
 		Header: []string{"flows_in_sample", "samples"},
 	}
-	labels := flowBucketLabels()
 	for i, c := range h {
-		res.AddRow(labels[i], c)
+		res.AddRow(analysis.FlowCountBucketLabel(i), c)
 	}
 	below3000 := 0
 	for _, c := range counts {
@@ -259,17 +257,6 @@ func fig13From(counts []int) *Result {
 	res.Notef("paper: most samples have fewer than 3,000 distinct flows; a handful exceed 20,000")
 	res.Notef("measured: %d/%d samples below 3,000 flows; max sample = %d flows", below3000, len(counts), maxOf(counts))
 	return res
-}
-
-func flowBucketLabels() []string {
-	b := analysis.FlowCountBuckets
-	out := make([]string, len(b)+1)
-	out[0] = fmt.Sprintf("<=%d", b[0])
-	for i := 1; i < len(b); i++ {
-		out[i] = fmt.Sprintf("%d-%d", b[i-1]+1, b[i])
-	}
-	out[len(b)] = fmt.Sprintf(">%d", b[len(b)-1])
-	return out
 }
 
 func maxOf(xs []int) int {

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/analysis/analysistest"
 	"repro/internal/sim"
 	"repro/internal/trafficgen"
 )
@@ -61,7 +62,7 @@ func renderBytes(t *testing.T, res *Result) []byte {
 }
 
 // baselineFig runs a figure the pre-streaming way: materialize the full
-// acap corpus, then fold it with the in-memory analysis functions.
+// acap corpus, then fold it with the materialized pipeline.
 func baselineFig(t *testing.T, id string, seed uint64) *Result {
 	t.Helper()
 	switch id {
@@ -70,7 +71,7 @@ func baselineFig(t *testing.T, id string, seed uint64) *Result {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fig11From(analysis.HeaderStatsBySite(acaps))
+		return fig11From(analysistest.HeaderStatsBySite(acaps))
 	case "fig12":
 		acaps, err := corpus(seed, 2, 3000, 75)
 		if err != nil {
@@ -80,7 +81,7 @@ func baselineFig(t *testing.T, id string, seed uint64) *Result {
 		for _, a := range acaps {
 			all = append(all, a.Records...)
 		}
-		return fig12From(analysis.HeaderOccurrence(all))
+		return fig12From(analysistest.HeaderOccurrence(all))
 	case "fig13":
 		acaps, err := corpus(seed, 4, 12000, 0)
 		if err != nil {
@@ -107,7 +108,7 @@ func baselineFig(t *testing.T, id string, seed uint64) *Result {
 		var rows []siteSizeRow
 		for _, site := range order {
 			recs := bySite[site]
-			h := analysis.FrameSizeHistogram(recs)
+			h := analysistest.FrameSizeHistogram(recs)
 			jumbo := 0
 			for _, r := range recs {
 				if r.WireLen > analysis.JumboThreshold {
@@ -126,7 +127,7 @@ func baselineFig(t *testing.T, id string, seed uint64) *Result {
 		for _, a := range acaps {
 			all = append(all, a.Records...)
 		}
-		return framesizesFrom(analysis.FrameSizeHistogram(all), len(all))
+		return framesizesFrom(analysistest.FrameSizeHistogram(all), len(all))
 	}
 	t.Fatalf("unknown baseline %q", id)
 	return nil

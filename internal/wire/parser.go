@@ -14,9 +14,11 @@ func (e ErrUnsupportedLayer) Error() string {
 }
 
 // DecodingLayerParser decodes packet data into caller-owned layer structs
-// without allocating. This is the capture fast path: Patchwork's
-// DPDK-style pipeline decodes millions of frames per second through one of
-// these, reusing the same layer values for every frame.
+// without allocating, reusing the same layer values for every frame. It
+// is the comparator in the decode ablation (DESIGN §4): the gopacket
+// fast-path idiom, measured against the pooled Packet decode that the
+// analysis pipeline uses. No production path decodes through it; the
+// simulated capture engine does not decode frames at all.
 //
 // Like its gopacket namesake, the parser stops (with ErrUnsupportedLayer)
 // when it encounters a layer type that was not registered; the decoded

@@ -11,7 +11,7 @@
 //   - NewPacket: allocates a Packet holding a []Layer, supporting lazy and
 //     no-copy decoding. Versatile; used by the offline analysis pipeline.
 //   - DecodingLayerParser: decodes into caller-owned layer structs with no
-//     allocation. Used on the capture fast path.
+//     allocation. The decode ablation's comparator (DESIGN §4).
 package wire
 
 import (

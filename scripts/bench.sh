@@ -138,12 +138,13 @@ echo "== experiment benchmarks (repro root) =="
 # The figure/table benchmarks regenerate full paper artifacts per
 # iteration (seconds each), so one iteration per count is the
 # measurement; the per-frame micro-benchmarks need real iteration
-# counts, so they run with the default benchtime.
+# counts, so they run with the default benchtime. This pass skips the
+# benchmarks that the micro pass and the analysis pass below own, so
+# each benchmark lands in one BENCH file.
 micro='^Benchmark(WireFastPath|CaptureEngine|HostWritev)$'
-go test -run '^$' -bench . -benchmem -benchtime 1x \
-    -count "$count" . \
-    | grep -Ev '^Benchmark(WireFastPath|CaptureEngine|HostWritev)\b' \
-    | tee "$tmp/experiments.txt"
+analysis='^Benchmark(StreamedFlowDigest|MaterializedFlowDigest|DigestFold|DigestDecode|StoreQueryMix)$'
+go test -run '^$' -bench . -skip "$micro|$analysis" -benchmem -benchtime 1x \
+    -count "$count" . | tee "$tmp/experiments.txt"
 go test -run '^$' -bench "$micro" -benchmem ${benchtime:+-benchtime $benchtime} \
     -count "$count" . | tee -a "$tmp/experiments.txt"
 

@@ -1,5 +1,7 @@
 #!/usr/bin/env sh
-# CI gate: formatting, build, vet, race-enabled tests (short mode — the
+# CI gate: formatting, build, vet, a check that only tests import the
+# materialized analysis pipeline (internal/analysis/analysistest, the
+# equivalence gates' reference), race-enabled tests (short mode — the
 # parallel-harness and chaos determinism tests still run their
 # concurrent paths there, so the race detector permanently gates the
 # "parallel simulations share no state" contract), a bench.sh smoke pass
@@ -28,7 +30,7 @@
 # /api/flows requests racing a replacement of the store file, must each
 # answer what a serial query answers, repeated under the race
 # detector), a streaming-analytics equivalence gate (the single-pass
-# digester and the materialized in-memory pipeline must agree
+# digester and the materialized pipeline in analysistest must agree
 # byte-for-byte on every CSV and figure artifact, spilling included),
 # and a validate-only dry run of every health-alert rule file (the
 # embedded defaults always, plus any rules/*.json), a crash/resume gate: a
@@ -64,6 +66,11 @@ go vet ./...
 # The benchmark is its own module; vetting it compiles pwbench against
 # this tree, so an API change that breaks the benchmark fails here.
 go -C bench vet ./...
+# .Imports lists a package's non-test imports only.
+if go list -f '{{range .Imports}}{{.}}{{"\n"}}{{end}}' ./... | grep -qx repro/internal/analysis/analysistest; then
+    echo "a non-test package imports repro/internal/analysis/analysistest" >&2
+    exit 1
+fi
 go test -race -short ./...
 sh scripts/bench.sh -smoke
 go test -run='^$' -fuzz='^FuzzParsePacket$' -fuzztime=5s ./internal/wire
@@ -105,12 +112,13 @@ go test -race -count=5 -run '^(TestSpillFailureFailsRun|TestEarlierBatchFailureW
 # serial query answers.
 go test -race -count=5 -run '^(TestConcurrentFirstScans|TestFlowsEndpointConcurrentReplace)$' ./internal/flowstore ./internal/livemon
 
-# Streaming-analytics equivalence gate: streamed digest vs materialized
-# baseline on clean and hostile corpora, and the streamed acap encoder
-# vs encoding/json (internal/analysis); the /api/flows encoder vs
-# encoding/json, and its revalidated store handle seeing every change to
-# the file (internal/livemon); the pwanalyze CLI end-to-end with
-# spilling forced, and its acaps vs analysis.Digest (cmd/pwanalyze).
+# Streaming-analytics equivalence gate: streamed digest vs the
+# materialized pipeline (analysistest) on clean and hostile corpora, and
+# the streamed acap encoder vs encoding/json (internal/analysis); the
+# /api/flows encoder vs encoding/json, and its revalidated store handle
+# seeing every change to the file (internal/livemon); the pwanalyze CLI
+# end-to-end with spilling forced, and its acaps vs analysistest.Digest
+# (cmd/pwanalyze).
 go test -run '^(TestStreamEquivalence|TestAcapEncoderMatchesJSON$|TestFlowsEndpointMatchesJSON$|TestFlowsEndpointSeesStoreChanges$)' ./internal/analysis ./internal/livemon
 go test -run '^(TestRunMatchesInMemoryPipeline|TestAcapMatchesDigest)$' ./cmd/pwanalyze
 echo "streaming equivalence gate: digester matches in-memory pipeline byte-for-byte"
