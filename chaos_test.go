@@ -79,7 +79,7 @@ func chaosRun(t *testing.T, seed uint64) (*patchwork.Profile, chaosArtifacts) {
 	}
 
 	tracer := obs.NewKernelTracer(k)
-	monitor, err := health.NewMonitor(k, reg, tracer, health.Config{Rules: health.DefaultRules()})
+	monitor, err := health.NewMonitor(k, reg, tracer, health.DefaultRules())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -188,6 +188,8 @@ func TestAcapEncodeReportsWriteError(t *testing.T) {
 // record allocates nothing beyond what the wire decode itself does. The
 // pooled decode still allocates for DNS question names and for
 // truncation errors; the bare decode of the same frames measures that.
+// Both measurements average 30 passes, so a few allocations outside the
+// measured code that land in the window do not move the integer count.
 func TestFrameRecordAllocFree(t *testing.T) {
 	corpus := equivCorpus(t, 11, 2, 1, 600)
 	hostileMutate(corpus)
@@ -196,7 +198,7 @@ func TestFrameRecordAllocFree(t *testing.T) {
 		frames = append(frames, site[0]...)
 	}
 	var pkt wire.Packet
-	decodeAllocs := testing.AllocsPerRun(3, func() {
+	decodeAllocs := testing.AllocsPerRun(30, func() {
 		for _, f := range frames {
 			pkt.Reset(f.Data, wire.LayerTypeEthernet, wire.NoCopy)
 		}
@@ -222,7 +224,7 @@ func TestFrameRecordAllocFree(t *testing.T) {
 	if n := d.Flows().HotFlows(); n <= heavyK {
 		t.Fatalf("%d flows for %d heavy-hitter slots: Add never evicts", n, heavyK)
 	}
-	allocs := testing.AllocsPerRun(3, pass)
+	allocs := testing.AllocsPerRun(30, pass)
 	t.Logf("%d frames: %.0f allocations per pass, %.0f of them in the wire decode", len(frames), allocs, decodeAllocs)
 	if allocs > decodeAllocs {
 		t.Errorf("%.0f allocations per pass of %d frames, want the bare decode's %.0f", allocs, len(frames), decodeAllocs)

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"bytes"
+	"encoding/json"
+	"slices"
 	"strings"
 	"testing"
 
@@ -299,25 +301,19 @@ func TestIndexRoundTrip(t *testing.T) {
 	var ix Index
 	ix.Add(e)
 	ix.Add(IndexEntry{Site: "S1", Path: "acaps/s1-0.json", StartNanos: 5, EndNanos: 10})
-	if got := ix.Sites(); len(got) != 2 || got[0] != "S1" {
-		t.Errorf("sites = %v", got)
-	}
-	if got := ix.BySite("S3"); len(got) != 1 || got[0].Path != "acaps/s3-0.json" {
-		t.Errorf("BySite = %v", got)
-	}
-	if got := ix.InWindow(6, 8); len(got) != 1 {
-		t.Errorf("InWindow = %v", got)
+	if len(ix.Entries) != 2 || ix.Entries[0].Site != "S1" || ix.Entries[1] != e {
+		t.Errorf("Add order = %v, want S1 before S3", ix.Entries)
 	}
 	var buf bytes.Buffer
 	if err := ix.Encode(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadIndex(&buf)
-	if err != nil {
+	var back Index
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Entries) != 2 {
-		t.Errorf("round trip entries = %d", len(back.Entries))
+	if !slices.Equal(back.Entries, ix.Entries) {
+		t.Errorf("round trip = %v, want %v", back.Entries, ix.Entries)
 	}
 }
 

@@ -2,7 +2,6 @@ package analysis
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"slices"
 	"sort"
@@ -66,52 +65,7 @@ func (ix *Index) Add(e IndexEntry) {
 	ix.Entries = slices.Insert(ix.Entries, i, e)
 }
 
-// BySite returns the entries for one site.
-func (ix *Index) BySite(site string) []IndexEntry {
-	var out []IndexEntry
-	for _, e := range ix.Entries {
-		if e.Site == site {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// InWindow returns entries overlapping [from, to).
-func (ix *Index) InWindow(from, to int64) []IndexEntry {
-	var out []IndexEntry
-	for _, e := range ix.Entries {
-		if e.StartNanos < to && e.EndNanos >= from {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Sites returns the distinct site names in the index, sorted.
-func (ix *Index) Sites() []string {
-	seen := map[string]bool{}
-	var out []string
-	for _, e := range ix.Entries {
-		if !seen[e.Site] {
-			seen[e.Site] = true
-			out = append(out, e.Site)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Encode serializes the index as JSON.
 func (ix *Index) Encode(w io.Writer) error {
 	return json.NewEncoder(w).Encode(ix)
-}
-
-// ReadIndex parses an index from JSON.
-func ReadIndex(r io.Reader) (*Index, error) {
-	var ix Index
-	if err := json.NewDecoder(r).Decode(&ix); err != nil {
-		return nil, fmt.Errorf("analysis: reading index: %w", err)
-	}
-	return &ix, nil
 }

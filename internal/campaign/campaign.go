@@ -268,20 +268,11 @@ type Exec struct {
 	CrashAfterCheckpointSwap bool
 }
 
-// defaultSpanCap bounds the tracer's retained spans/counter samples on
-// long campaigns (satisfied drops count into
-// patchwork_trace_dropped_total). Generous enough that short runs never
-// trip it, so artifacts match earlier unbounded behavior.
+// defaultSpanCap bounds the tracer's retained spans on long campaigns
+// (drops count into patchwork_trace_dropped_total). Generous enough
+// that short runs never trip it, so artifacts match earlier unbounded
+// behavior.
 const defaultSpanCap = 1 << 20
-
-// defaultTraceCounters are the registry series sampled into the tracer
-// as Chrome-trace counter events on every health tick, so flame views
-// show load alongside spans.
-var defaultTraceCounters = []string{
-	"sim_events_processed",
-	"capture_frames_captured_total",
-	"capture_frames_dropped_total",
-}
 
 // RunExecLive starts a fresh campaign in dir (which must not already
 // hold one). When kill is true, injected crash points abort the run —
@@ -495,6 +486,10 @@ func run(spec Spec, w *journal.Writer, dir string, kill bool, live LiveSink, exe
 	obs.CollectKernel(reg, k)
 	fed.SetObs(reg)
 	tracer := obs.NewKernelTracer(k)
+	// This HELP text names counter samples, which the tracer does not
+	// record, and must stay byte-identical anyway: checkpoints hash the
+	// Prometheus text (stateDigests), so a reworded line would make
+	// journals written by earlier builds fail to resume.
 	reg.Help("patchwork_trace_dropped_total", "spans and counter samples dropped by the tracer's memory cap")
 	tracer.SetSpanCap(defaultSpanCap, reg.Counter("patchwork_trace_dropped_total"))
 
@@ -519,10 +514,7 @@ func run(spec Spec, w *journal.Writer, dir string, kill bool, live LiveSink, exe
 			return nil, err
 		}
 	}
-	monitor, err := health.NewMonitor(k, reg, tracer, health.Config{
-		Rules:         rules,
-		TraceCounters: defaultTraceCounters,
-	})
+	monitor, err := health.NewMonitor(k, reg, tracer, rules)
 	if err != nil {
 		return nil, err
 	}

@@ -4,17 +4,18 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/livemon"
-	"repro/internal/sim"
 )
 
 // liveServer builds a livemon server with an on-disk ring under dir.
 func liveServer(t *testing.T, dir string) *livemon.Server {
 	t.Helper()
-	s, err := livemon.New(livemon.Config{Dir: dir, PublishEvery: sim.Second})
+	s, err := livemon.New(livemon.Config{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,11 +44,14 @@ func metricsProm(t *testing.T, res *Result) []byte {
 
 // TestLiveSinkDoesNotPerturbArtifacts is the determinism gate for the
 // telemetry plane: the same seeded campaign run with and without a live
-// sink attached must produce byte-identical WALs and metric exports.
-// The sink publishes from the drive loop, so attaching it must not add
-// a single kernel event.
+// sink attached must produce byte-identical WALs, metric exports, alert
+// transitions and flight-recorder dumps. The sink publishes from the
+// drive loop, so attaching it must not add a single kernel event. A
+// corrupted STAR mirror makes mirror-drop-ratio fire, so the dumps
+// compared are real ones.
 func TestLiveSinkDoesNotPerturbArtifacts(t *testing.T) {
 	spec := smallSpec()
+	spec.Faults = &faults.Plan{MirrorCorruptions: []faults.MirrorCorruption{{Site: "STAR", Rate: 0.3}}}
 
 	plainDir := t.TempDir()
 	plain, err := RunExecLive(spec, plainDir, true, Exec{}, nil)
@@ -68,6 +72,25 @@ func TestLiveSinkDoesNotPerturbArtifacts(t *testing.T) {
 	if !bytes.Equal(metricsProm(t, plain), metricsProm(t, served)) {
 		t.Fatal("metrics export differs between served and unserved runs")
 	}
+	if !reflect.DeepEqual(plain.Monitor.Events(), served.Monitor.Events()) {
+		t.Fatalf("alert transitions differ between served and unserved runs:\n%+v\n%+v",
+			plain.Monitor.Events(), served.Monitor.Events())
+	}
+	plainDumps, servedDumps := plain.Monitor.Dumps(), served.Monitor.Dumps()
+	if len(plainDumps) != len(servedDumps) {
+		t.Fatalf("%d dumps unserved, %d served", len(plainDumps), len(servedDumps))
+	}
+	mirror := false
+	for i, d := range plainDumps {
+		if d.Name != servedDumps[i].Name || !bytes.Equal(d.Data, servedDumps[i].Data) {
+			t.Fatalf("dump %d differs between served and unserved runs: %s vs %s", i, d.Name, servedDumps[i].Name)
+		}
+		mirror = mirror || strings.HasPrefix(d.Name, "mirror-drop-ratio--")
+	}
+	if !mirror {
+		t.Fatalf("no mirror-drop-ratio dump among %d; the corrupted mirror should fire it", len(plainDumps))
+	}
+	t.Logf("%d alert transitions and %d dumps match", len(plain.Monitor.Events()), len(plainDumps))
 	// The sink actually saw the run: snapshots in the ring, journal
 	// gauges on the runtime registry.
 	if live.RingRef().Len() == 0 {

@@ -692,7 +692,7 @@ type VerifyReport struct {
 	Segments int
 	Rows     int64
 	// Good is the byte offset where the leading intact run ends — the
-	// truncation point Repair uses. Size is the file size.
+	// truncation point pwfsck -repair uses. Size is the file size.
 	Good, Size int64
 	// MidFile reports intact segments found after damage: corruption in
 	// the middle of the file, not a torn tail.
@@ -701,10 +701,6 @@ type VerifyReport struct {
 
 // Damaged reports whether the scrub found anything wrong.
 func (r VerifyReport) Damaged() bool { return r.Good < r.Size }
-
-// TornTail reports the tolerable damage class: a single damaged region
-// ending the file.
-func (r VerifyReport) TornTail() bool { return r.Damaged() && !r.MidFile }
 
 // Verify scrubs a store file (nil fsys means the real disk).
 func Verify(fsys storefault.FS, path string) (VerifyReport, error) {
@@ -766,21 +762,4 @@ func nextMagic(f io.ReaderAt, from, size int64) int64 {
 		}
 	}
 	return -1
-}
-
-// Repair truncates the store file to the end of its leading intact run
-// (a no-op on a clean file). Mid-file corruption loses the segments
-// behind it — the repair contract is "last valid frame", not recovery.
-func Repair(fsys storefault.FS, path string) (VerifyReport, error) {
-	fsys = storefault.Or(fsys)
-	rep, err := Verify(fsys, path)
-	if err != nil {
-		return rep, err
-	}
-	if rep.Damaged() {
-		if err := fsys.Truncate(path, rep.Good); err != nil {
-			return rep, fmt.Errorf("flowstore: repair: %w", err)
-		}
-	}
-	return rep, nil
 }

@@ -2,7 +2,6 @@ package health
 
 import (
 	"bytes"
-	"encoding/json"
 	"math"
 	"strings"
 	"testing"
@@ -122,18 +121,18 @@ func TestDefaultRulesParse(t *testing.T) {
 }
 
 // monitorFixture builds a kernel+registry+monitor with the given rules.
-func monitorFixture(t *testing.T, rulesJSON string, cfg Config) (*sim.Kernel, *obs.Registry, *Monitor) {
+func monitorFixture(t *testing.T, rulesJSON string) (*sim.Kernel, *obs.Registry, *Monitor) {
 	t.Helper()
 	k := sim.NewKernel()
 	reg := obs.NewKernelRegistry(k)
+	var rs RuleSet
 	if rulesJSON != "" {
-		rs, err := ParseBytes([]byte(rulesJSON))
-		if err != nil {
+		var err error
+		if rs, err = ParseBytes([]byte(rulesJSON)); err != nil {
 			t.Fatal(err)
 		}
-		cfg.Rules = rs
 	}
-	m, err := NewMonitor(k, reg, nil, cfg)
+	m, err := NewMonitor(k, reg, nil, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +144,7 @@ func TestThresholdLifecycle(t *testing.T) {
 		"name":"drop-rate","severity":"critical","for_sec":2,
 		"threshold":{"expr":{"metric":"drops_total","agg":"rate","window_sec":5},"op":">","value":1}
 	}]}`
-	k, reg, m := monitorFixture(t, rules, Config{})
+	k, reg, m := monitorFixture(t, rules)
 	drops := reg.Counter("drops_total", obs.L("site", "STAR"))
 	m.Start()
 	// Quiet for 3s, then 5 drops/s for 6s, then quiet again.
@@ -183,7 +182,7 @@ func TestAbsenceLifecycle(t *testing.T) {
 		"name":"listener-stale",
 		"absence":{"metric":"queue_highwater","stale_sec":5}
 	}]}`
-	k, reg, m := monitorFixture(t, rules, Config{})
+	k, reg, m := monitorFixture(t, rules)
 	g := reg.Gauge("queue_highwater", obs.L("site", "TACC"))
 	m.Start()
 	// Updated every second until t=4s, then silent.
@@ -210,7 +209,7 @@ func TestBurnRateLifecycle(t *testing.T) {
 		"name":"failure-burn",
 		"burn_rate":{"expr":{"metric":"fail_total","agg":"rate","window_sec":10},"budget_per_hour":60,"max_burn":10}
 	}]}`
-	k, reg, m := monitorFixture(t, rules, Config{})
+	k, reg, m := monitorFixture(t, rules)
 	fails := reg.Counter("fail_total")
 	m.Start()
 	// 1 failure/s = 3600/h = 60x the 60/h budget: way past max_burn 10.
@@ -237,7 +236,7 @@ func TestDivisorRatioAndSignal(t *testing.T) {
 			"metric":"dropped_total","agg":"rate","window_sec":10,
 			"divisor":{"metric":"received_total","agg":"rate","window_sec":10}},
 			"op":">","value":0.25}}]}`
-	k, reg, m := monitorFixture(t, rules, Config{})
+	k, reg, m := monitorFixture(t, rules)
 	rx := reg.Counter("received_total", obs.L("site", "STAR"))
 	dr := reg.Counter("dropped_total", obs.L("site", "STAR"))
 	m.Start()
@@ -278,13 +277,13 @@ func TestDivisorRatioAndSignal(t *testing.T) {
 
 func TestFlightRecorderDump(t *testing.T) {
 	const rules = `{"rules":[{"name":"hot","threshold":{"expr":{"metric":"g"},"op":">","value":10}}]}`
-	k, reg, _ := monitorFixture(t, rules, Config{})
+	k, reg, _ := monitorFixture(t, rules)
 	tracer := obs.NewKernelTracer(k)
 	rs, err := ParseBytes([]byte(rules))
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := NewMonitor(k, reg, tracer, Config{Rules: rs})
+	m, err := NewMonitor(k, reg, tracer, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +334,7 @@ func TestMonitorDeterminism(t *testing.T) {
 		const rules = `{"rules":[
 			{"name":"hot","for_sec":1,"threshold":{"expr":{"metric":"v","agg":"rate","window_sec":5},"op":">","value":3}},
 			{"name":"quiet","absence":{"metric":"v","stale_sec":4}}]}`
-		k, reg, m := monitorFixture(t, rules, Config{})
+		k, reg, m := monitorFixture(t, rules)
 		c := reg.Counter("v", obs.L("site", "A"))
 		m.Start()
 		for i := 1; i <= 6; i++ {
@@ -368,7 +367,7 @@ func TestMonitorDeterminism(t *testing.T) {
 
 func TestStatusView(t *testing.T) {
 	const rules = `{"rules":[{"name":"hot","threshold":{"expr":{"metric":"capture_frames_dropped_total"},"op":">","value":5}}]}`
-	k, reg, m := monitorFixture(t, rules, Config{})
+	k, reg, m := monitorFixture(t, rules)
 	reg.Counter("capture_frames_received_total", obs.L("site", "STAR"), obs.L("method", "dpdk")).Add(100)
 	reg.Counter("capture_frames_dropped_total", obs.L("site", "STAR"), obs.L("method", "dpdk")).Add(10)
 	reg.Counter("switchsim_mirror_cloned_total", obs.L("switch", "TACC"), obs.L("mirrored", "P1"), obs.L("egress", "E1")).Add(200)
@@ -411,7 +410,7 @@ func TestSubscribeObservesTransitions(t *testing.T) {
 		"name":"drop-rate","severity":"critical","for_sec":2,
 		"threshold":{"expr":{"metric":"drops_total","agg":"rate","window_sec":5},"op":">","value":1}
 	}]}`
-	k, reg, m := monitorFixture(t, rules, Config{})
+	k, reg, m := monitorFixture(t, rules)
 	var first, second []AlertEvent
 	m.Subscribe(func(ev AlertEvent) { first = append(first, ev) })
 	m.Subscribe(func(ev AlertEvent) { second = append(second, ev) })
@@ -447,7 +446,7 @@ func TestResolveAndRefireSameWindow(t *testing.T) {
 		"name":"drop-rate","severity":"critical","for_sec":2,
 		"threshold":{"expr":{"metric":"drops_total","agg":"rate","window_sec":5},"op":">","value":1}
 	}]}`
-	k, reg, m := monitorFixture(t, rules, Config{})
+	k, reg, m := monitorFixture(t, rules)
 	drops := reg.Counter("drops_total", obs.L("site", "STAR"))
 	m.Start()
 	// Two bursts separated by a quiet gap long enough to resolve but
@@ -488,67 +487,5 @@ func TestResolveAndRefireSameWindow(t *testing.T) {
 	}
 	if dumps[0].Name == dumps[1].Name {
 		t.Errorf("both dumps share the name %q; firings must freeze distinct dumps", dumps[0].Name)
-	}
-}
-
-// TestTraceCountersSampled checks Config.TraceCounters feeds selected
-// registry series into the tracer as Chrome counter events — labelled
-// series suffixed with their label identity — while leaving the span
-// JSONL artifact untouched.
-func TestTraceCountersSampled(t *testing.T) {
-	k := sim.NewKernel()
-	reg := obs.NewKernelRegistry(k)
-	tracer := obs.NewKernelTracer(k)
-	m, err := NewMonitor(k, reg, tracer, Config{
-		TraceCounters: []string{"frames", "drops"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	frames := reg.Counter("frames")
-	drops := reg.Counter("drops", obs.L("site", "A"))
-	reg.Counter("ignored") // not listed: must not be sampled
-	m.Start()
-	k.At(1500*sim.Time(sim.Millisecond), func() { frames.Add(7); drops.Add(2) })
-	k.RunUntil(3 * sim.Time(sim.Second))
-
-	var chrome bytes.Buffer
-	if err := tracer.WriteChromeTrace(&chrome); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(chrome.Bytes(), &events); err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]int{}
-	var lastFrames float64
-	for _, e := range events {
-		if e["ph"] != "C" {
-			continue
-		}
-		name := e["name"].(string)
-		byName[name]++
-		if name == "frames" {
-			lastFrames = e["args"].(map[string]any)["value"].(float64)
-		}
-	}
-	if byName["frames"] < 2 {
-		t.Errorf("frames sampled %d times, want one per tick (>= 2)", byName["frames"])
-	}
-	if byName["drops{site=A}"] == 0 {
-		t.Error("labelled series not sampled under its label identity")
-	}
-	if byName["ignored"] != 0 {
-		t.Error("unlisted metric was sampled")
-	}
-	if lastFrames != 7 {
-		t.Errorf("last frames sample = %v, want 7", lastFrames)
-	}
-	var jsonl bytes.Buffer
-	if err := tracer.WriteJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(jsonl.Bytes(), []byte("frames")) {
-		t.Error("counter sampling leaked into the span JSONL artifact")
 	}
 }

@@ -12,41 +12,16 @@ import (
 	"repro/internal/sim"
 )
 
-// Config tunes a Monitor.
-type Config struct {
-	// Interval is the sampling tick (default 1 sim-second).
-	Interval sim.Duration
-	// Depth is the per-series ring capacity (default 120 samples).
-	Depth int
-	// Rules is the rule set to evaluate; leave zero for no alerting
-	// (the monitor still maintains windows and the status view).
-	Rules RuleSet
-	// Recorder tunes the flight recorder rings.
-	Recorder RecorderConfig
-	// OnTransition, when set, observes every firing/resolved event as
-	// it happens (the events are also kept internally).
-	OnTransition func(AlertEvent)
-	// DumpSink, when set, receives each flight-recorder dump as it is
-	// frozen. When nil, dumps accumulate in memory (see Dumps).
-	DumpSink func(name string, data []byte) error
-	// TraceCounters lists metric names to sample into the tracer as
-	// Chrome-trace counter events on every tick (labelled instruments
-	// sample one series per label set, suffixed "{labels}"). Sampling
-	// only feeds the Chrome export — span JSONL artifacts and the event
-	// schedule are untouched. Empty means no counter sampling.
-	TraceCounters []string
-}
-
-func (c Config) withDefaults() Config {
-	if c.Interval <= 0 {
-		c.Interval = sim.Second
-	}
-	if c.Depth <= 0 {
-		c.Depth = 120
-	}
-	c.Recorder = c.Recorder.withDefaults()
-	return c
-}
+// The monitor's fixed sizes: a 1 s sampling tick, 120 points per
+// series (two sim-minutes of window), and a flight recorder keeping the
+// last 8 registry snapshots, the last 256 log lines and a 64-span tail.
+const (
+	tickInterval = sim.Second
+	seriesDepth  = 120
+	snapDepth    = 8
+	logDepth     = 256
+	spanTail     = 64
+)
 
 // AlertEvent is one lifecycle transition of a rule instance.
 type AlertEvent struct {
@@ -71,6 +46,13 @@ type instance struct {
 	labels map[string]string
 }
 
+// seriesKey identifies one instrument instance: metric name and label
+// identity (obs.MetricPoint.ID).
+type seriesKey struct{ name, id string }
+
+// stateKey identifies one (rule, instance) alert state machine.
+type stateKey struct{ rule, instance string }
+
 // alertState is the lifecycle state for one (rule, instance) pair.
 type alertState struct {
 	pending      bool
@@ -87,26 +69,24 @@ type Monitor struct {
 	k      *sim.Kernel
 	reg    *obs.Registry
 	tracer *obs.Tracer
-	cfg    Config
+	rules  RuleSet
 
 	ticker *sim.Ticker
 
-	series   map[string]*instance // key: metric \x00 labelID
+	series   map[seriesKey]*instance
 	byMetric map[string][]*instance
 	sigHelp  map[string]bool
 
-	states     map[string]*alertState // key: rule \x00 instanceID
-	stateOrder []string
+	states     map[stateKey]*alertState
+	stateOrder []stateKey
 
 	events []AlertEvent
 	rec    *recorder
 	dumps  []Dump
 
-	// subscribers are notified of every transition after OnTransition,
-	// in subscription order (see Subscribe).
+	// subscribers are notified of every transition, in subscription
+	// order (see Subscribe).
 	subscribers []func(AlertEvent)
-
-	traceSet map[string]bool // Config.TraceCounters as a set
 }
 
 // Dump is one frozen flight-recorder capture.
@@ -117,40 +97,35 @@ type Dump struct {
 
 // NewMonitor validates the rule set and builds a monitor over the
 // registry. The kernel and registry must be non-nil; the tracer may be
-// nil (dumps then carry no spans).
-func NewMonitor(k *sim.Kernel, reg *obs.Registry, tracer *obs.Tracer, cfg Config) (*Monitor, error) {
+// nil (dumps then carry no spans). An empty rule set raises no alerts:
+// the monitor still maintains windows and the status view.
+func NewMonitor(k *sim.Kernel, reg *obs.Registry, tracer *obs.Tracer, rules RuleSet) (*Monitor, error) {
 	if k == nil {
 		return nil, fmt.Errorf("health: monitor needs a kernel")
 	}
 	if reg == nil {
 		return nil, fmt.Errorf("health: monitor needs a registry")
 	}
-	cfg = cfg.withDefaults()
-	if err := cfg.Rules.Validate(); err != nil {
+	if err := rules.Validate(); err != nil {
 		return nil, err
 	}
-	m := &Monitor{
-		k: k, reg: reg, tracer: tracer, cfg: cfg,
-		series:   make(map[string]*instance),
+	return &Monitor{
+		k: k, reg: reg, tracer: tracer, rules: rules,
+		series:   make(map[seriesKey]*instance),
 		byMetric: make(map[string][]*instance),
 		sigHelp:  make(map[string]bool),
-		states:   make(map[string]*alertState),
-		traceSet: make(map[string]bool, len(cfg.TraceCounters)),
-	}
-	for _, n := range cfg.TraceCounters {
-		m.traceSet[n] = true
-	}
-	m.rec = newRecorder(cfg.Recorder)
-	return m, nil
+		states:   make(map[stateKey]*alertState),
+		rec:      newRecorder(),
+	}, nil
 }
 
-// Start schedules the sampling tick. The first sample lands one
-// interval from now.
+// Start schedules the sampling tick. The first sample lands one tick
+// from now.
 func (m *Monitor) Start() {
 	if m == nil || m.ticker != nil {
 		return
 	}
-	m.ticker = m.k.Every(m.cfg.Interval, m.tick)
+	m.ticker = m.k.Every(tickInterval, m.tick)
 }
 
 // Stop cancels the sampling tick; Start may be called again.
@@ -175,14 +150,13 @@ func (m *Monitor) Logf(source, level, format string, args ...any) {
 	m.rec.log(m.k.Now(), source, level, fmt.Sprintf(format, args...))
 }
 
-// Subscribe registers an additional observer for every firing/resolved
-// transition. Subscribers run synchronously inside the monitor tick, in
-// subscription order, after Config.OnTransition; a subscriber that
-// needs to take action (e.g. a remediation supervisor) should schedule
-// kernel events rather than mutate the world reentrantly. Subscribe is
-// the supervisor-facing API: unlike the single OnTransition hook it
-// composes, so artifact writers and the remedy supervisor can both
-// observe one monitor.
+// Subscribe registers an observer for every firing/resolved transition.
+// Subscribers run synchronously inside the monitor tick, in
+// subscription order, before a firing's dump is frozen; a subscriber
+// that needs to take action (e.g. a remediation supervisor) should
+// schedule kernel events rather than mutate the world reentrantly.
+// Subscriptions compose, so the live server and the remedy supervisor
+// can both observe one monitor.
 func (m *Monitor) Subscribe(fn func(AlertEvent)) {
 	if m == nil || fn == nil {
 		return
@@ -195,8 +169,8 @@ func (m *Monitor) Events() []AlertEvent {
 	return append([]AlertEvent(nil), m.events...)
 }
 
-// Dumps returns the flight-recorder dumps accumulated in memory (empty
-// when a DumpSink consumes them instead).
+// Dumps returns every flight-recorder dump frozen so far, in firing
+// order.
 func (m *Monitor) Dumps() []Dump { return append([]Dump(nil), m.dumps...) }
 
 // Active is one currently firing alert.
@@ -218,37 +192,21 @@ func (m *Monitor) ActiveAlerts() []Active {
 		if st == nil || !st.firing {
 			continue
 		}
-		rule, inst, _ := strings.Cut(key, "\x00")
 		out = append(out, Active{
-			Rule: rule, Severity: m.ruleSeverity(rule),
-			Instance: inst, Since: st.pendingSince,
+			Rule: key.rule, Severity: m.ruleSeverity(key.rule),
+			Instance: key.instance, Since: st.pendingSince,
 		})
 	}
 	return out
 }
 
 func (m *Monitor) ruleSeverity(name string) Severity {
-	for i := range m.cfg.Rules.Rules {
-		if m.cfg.Rules.Rules[i].Name == name {
-			return m.cfg.Rules.Rules[i].severity
+	for i := range m.rules.Rules {
+		if m.rules.Rules[i].Name == name {
+			return m.rules.Rules[i].severity
 		}
 	}
 	return SeverityWarning
-}
-
-// labelID reproduces the registry's label identity (labels arrive
-// sorted from Snapshot).
-func labelID(labels []obs.Label) string {
-	var sb strings.Builder
-	for i, l := range labels {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(l.Key)
-		sb.WriteByte('=')
-		sb.WriteString(l.Value)
-	}
-	return sb.String()
 }
 
 // tick is one sampling pass: ingest the snapshot, record it, publish
@@ -256,34 +214,18 @@ func labelID(labels []obs.Label) string {
 func (m *Monitor) tick(now sim.Time) {
 	snap := m.reg.Snapshot()
 	for _, mp := range snap {
-		id := labelID(mp.Labels)
-		key := mp.Name + "\x00" + id
+		key := seriesKey{mp.Name, mp.ID}
 		inst := m.series[key]
 		if inst == nil {
 			inst = &instance{
-				s:      newSeries(mp.Name, mp.Kind, mp.Labels, m.cfg.Depth),
-				id:     id,
+				s:      newSeries(mp.Name, mp.Kind, mp.Labels, seriesDepth),
+				id:     mp.ID,
 				labels: labelMap(mp.Labels),
 			}
 			m.series[key] = inst
 			m.byMetric[mp.Name] = append(m.byMetric[mp.Name], inst)
 		}
 		inst.s.push(Point{T: now, V: mp.Value, Sum: float64(mp.Sum), At: mp.At})
-	}
-	if m.tracer != nil && len(m.traceSet) > 0 {
-		// Counter sampling for the Chrome exporter: pure observation of
-		// the sorted snapshot, so it is deterministic and schedules
-		// nothing.
-		for _, mp := range snap {
-			if !m.traceSet[mp.Name] {
-				continue
-			}
-			name := mp.Name
-			if id := labelID(mp.Labels); id != "" {
-				name += "{" + id + "}"
-			}
-			m.tracer.RecordCounter(name, mp.Value)
-		}
 	}
 	m.rec.snapshot(now, snap)
 	m.publishSignals()
@@ -296,8 +238,8 @@ func (m *Monitor) tick(now sim.Time) {
 // Non-finite results are skipped (a ratio with a zero denominator stays
 // at its previous value rather than poisoning the export).
 func (m *Monitor) publishSignals() {
-	for i := range m.cfg.Rules.Signals {
-		sg := &m.cfg.Rules.Signals[i]
+	for i := range m.rules.Signals {
+		sg := &m.rules.Signals[i]
 		if !m.sigHelp[sg.Name] && sg.Help != "" {
 			m.reg.Help(sg.Name, sg.Help)
 			m.sigHelp[sg.Name] = true
@@ -323,7 +265,7 @@ func (m *Monitor) evalExpr(e *Expr, inst *instance) (float64, bool) {
 		return 0, false
 	}
 	if e.Divisor != nil {
-		div := m.series[e.Divisor.Metric+"\x00"+inst.id]
+		div := m.series[seriesKey{e.Divisor.Metric, inst.id}]
 		if div == nil {
 			return 0, false
 		}
@@ -360,8 +302,8 @@ func (m *Monitor) evalAgg(e *Expr, inst *instance) (float64, bool) {
 // evaluate runs every rule against every matching instance and drives
 // the inactive → pending → firing → resolved lifecycle.
 func (m *Monitor) evaluate(now sim.Time) {
-	for i := range m.cfg.Rules.Rules {
-		rule := &m.cfg.Rules.Rules[i]
+	for i := range m.rules.Rules {
+		rule := &m.rules.Rules[i]
 		metric, labels := rule.targets()
 		for _, inst := range m.byMetric[metric] {
 			if !exprLabelsMatch(labels, inst.labels) {
@@ -428,7 +370,7 @@ func (m *Monitor) condition(rule *Rule, inst *instance, now sim.Time) (bool, flo
 // transition advances one (rule, instance) state machine and emits
 // events, freezing a flight-recorder dump on each pending→firing edge.
 func (m *Monitor) transition(rule *Rule, inst *instance, now sim.Time, holds bool, value float64) {
-	key := rule.Name + "\x00" + inst.id
+	key := stateKey{rule.Name, inst.id}
 	st := m.states[key]
 	if st == nil {
 		if !holds {
@@ -464,24 +406,13 @@ func (m *Monitor) transition(rule *Rule, inst *instance, now sim.Time, holds boo
 // emit records the event; on firing it freezes a dump.
 func (m *Monitor) emit(ev AlertEvent, fired *Rule) {
 	m.events = append(m.events, ev)
-	if m.cfg.OnTransition != nil {
-		m.cfg.OnTransition(ev)
-	}
 	for _, fn := range m.subscribers {
 		fn(ev)
 	}
 	if fired == nil {
 		return
 	}
-	data := m.rec.dump(ev, m.tracer)
-	name := dumpName(ev)
-	if m.cfg.DumpSink != nil {
-		if err := m.cfg.DumpSink(name, data); err != nil {
-			m.Logf("health", "error", "dump sink %s: %v", name, err)
-		}
-		return
-	}
-	m.dumps = append(m.dumps, Dump{Name: name, Data: data})
+	m.dumps = append(m.dumps, Dump{Name: dumpName(ev), Data: m.rec.dump(ev, m.tracer)})
 }
 
 // dumpName builds a filesystem-safe dump identifier.

@@ -9,31 +9,6 @@ import (
 	"repro/internal/sim"
 )
 
-// RecorderConfig bounds the flight recorder's rings.
-type RecorderConfig struct {
-	// MetricDepth is how many recent registry snapshots to keep
-	// (default 8 — with a 1 s tick, the last 8 sim-seconds).
-	MetricDepth int
-	// LogDepth is how many recent log lines to keep (default 256).
-	LogDepth int
-	// SpanTail is how many of the most recent spans to include in a
-	// dump (default 64).
-	SpanTail int
-}
-
-func (c RecorderConfig) withDefaults() RecorderConfig {
-	if c.MetricDepth <= 0 {
-		c.MetricDepth = 8
-	}
-	if c.LogDepth <= 0 {
-		c.LogDepth = 256
-	}
-	if c.SpanTail <= 0 {
-		c.SpanTail = 64
-	}
-	return c
-}
-
 // metricSnap is one retained registry snapshot. line is its rendered
 // dump line, cached by the first dump that includes it: dumps frozen
 // within a few ticks of each other share most of their snapshots.
@@ -56,7 +31,6 @@ type logLine struct {
 // and cheaply; the expensive serialization happens only at dump time,
 // at most once per snapshot.
 type recorder struct {
-	cfg RecorderConfig
 	buf bytes.Buffer // dump scratch: the header, then spans and logs
 
 	snaps     []metricSnap
@@ -68,12 +42,10 @@ type recorder struct {
 	logCount int
 }
 
-func newRecorder(cfg RecorderConfig) *recorder {
-	cfg = cfg.withDefaults()
+func newRecorder() *recorder {
 	return &recorder{
-		cfg:   cfg,
-		snaps: make([]metricSnap, cfg.MetricDepth),
-		logs:  make([]logLine, cfg.LogDepth),
+		snaps: make([]metricSnap, snapDepth),
+		logs:  make([]logLine, logDepth),
 	}
 }
 
@@ -142,8 +114,8 @@ func (r *recorder) dump(ev AlertEvent, tracer *obs.Tracer) []byte {
 	header := buf.Len()
 
 	recs := tracer.Records()
-	if len(recs) > r.cfg.SpanTail {
-		recs = recs[len(recs)-r.cfg.SpanTail:]
+	if len(recs) > spanTail {
+		recs = recs[len(recs)-spanTail:]
 	}
 	for _, sp := range recs {
 		name, _ := jsonString(sp.Name)
@@ -191,7 +163,7 @@ func renderMetrics(buf *bytes.Buffer, s *metricSnap) {
 			buf.WriteByte(',')
 		}
 		name, _ := jsonString(mp.Name)
-		id, _ := jsonString(labelID(mp.Labels))
+		id, _ := jsonString(mp.ID)
 		fmt.Fprintf(buf, `{"m":%s,"l":%s,"v":%s`, name, id, jsonNumber(mp.Value))
 		if mp.Kind == obs.KindHistogram {
 			fmt.Fprintf(buf, `,"sum":%d`, mp.Sum)

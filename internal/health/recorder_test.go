@@ -3,6 +3,7 @@ package health
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/obs"
@@ -35,7 +36,13 @@ func oracleDump(r *recorder, ev AlertEvent, tracer *obs.Tracer) []byte {
 				buf.WriteByte(',')
 			}
 			name, _ := jsonString(mp.Name)
-			id, _ := jsonString(labelID(mp.Labels))
+			// Join the labels here rather than reading mp.ID, so the
+			// oracle checks the registry's label identity too.
+			var ls []string
+			for _, l := range mp.Labels {
+				ls = append(ls, l.Key+"="+l.Value)
+			}
+			id, _ := jsonString(strings.Join(ls, ","))
 			fmt.Fprintf(&buf, `{"m":%s,"l":%s,"v":%s`, name, id, jsonNumber(mp.Value))
 			if mp.Kind == obs.KindHistogram {
 				fmt.Fprintf(&buf, `,"sum":%d`, mp.Sum)
@@ -46,8 +53,8 @@ func oracleDump(r *recorder, ev AlertEvent, tracer *obs.Tracer) []byte {
 	}
 
 	recs := tracer.Records()
-	if len(recs) > r.cfg.SpanTail {
-		recs = recs[len(recs)-r.cfg.SpanTail:]
+	if len(recs) > spanTail {
+		recs = recs[len(recs)-spanTail:]
 	}
 	for _, sp := range recs {
 		name, _ := jsonString(sp.Name)
@@ -83,9 +90,11 @@ func oracleDump(r *recorder, ev AlertEvent, tracer *obs.Tracer) []byte {
 // TestDumpMatchesOracle runs a monitor whose alerts fire every few ticks
 // on three instances, often on the same tick, so consecutive dumps
 // share most of their snapshots and the snapshot ring wraps many times.
-// Spans, a histogram and log lines fill the other sections. Every dump
-// must equal the original renderer's output at the moment it froze,
-// and be exactly its own size.
+// Each tick also logs 8 lines, starts 2 spans and observes a histogram,
+// so the 256-line log ring and the 64-span tail wrap before the last
+// dumps freeze. Every dump must equal the original renderer's output at
+// the moment it froze (rendered by a subscriber, which runs just before
+// the freeze), and be exactly its own size.
 func TestDumpMatchesOracle(t *testing.T) {
 	const rules = `{"rules":[{"name":"hot","threshold":{"expr":{"metric":"g"},"op":">","value":10}}]}`
 	k := sim.NewKernel()
@@ -95,26 +104,23 @@ func TestDumpMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m *Monitor
-	dumps := 0
-	m, err = NewMonitor(k, reg, tracer, Config{
-		Rules:    rs,
-		Recorder: RecorderConfig{LogDepth: 16, SpanTail: 8},
-		DumpSink: func(name string, data []byte) error {
-			dumps++
-			want := oracleDump(m.rec, m.events[len(m.events)-1], m.tracer)
-			if !bytes.Equal(data, want) {
-				t.Errorf("dump %d (%s) differs from the original renderer:\n got %q\nwant %q", dumps, name, data, want)
-			}
-			if cap(data) != len(data) {
-				t.Errorf("dump %d (%s): %d bytes in a %d-byte slice", dumps, name, len(data), cap(data))
-			}
-			return nil
-		},
-	})
+	m, err := NewMonitor(k, reg, tracer, rs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	const logsPerTick, spansPerTick = 8, 2
+	logged := 0
+	var want [][]byte
+	wrapped := 0 // dumps frozen after both the log ring and the span tail wrapped
+	m.Subscribe(func(ev AlertEvent) {
+		if ev.State != "firing" {
+			return
+		}
+		want = append(want, oracleDump(m.rec, ev, tracer))
+		if logged > logDepth && tracer.Len() > spanTail {
+			wrapped++
+		}
+	})
 	sites := []string{"A", "B", "C"}
 	var gauges []*obs.Gauge
 	for _, s := range sites {
@@ -136,15 +142,37 @@ func TestDumpMatchesOracle(t *testing.T) {
 				g.Set(v)
 			}
 			lat.Observe(int64(sec) * 1000)
-			m.Logf("test", "info", "second %d \"quoted\"", sec)
-			if open != nil {
-				open.End()
+			for i := 0; i < logsPerTick; i++ {
+				m.Logf("test", "info", "second %d line %d \"quoted\"", sec, i)
+				logged++
 			}
-			open = tracer.Start(fmt.Sprintf("step-%d", sec), obs.L("sec", fmt.Sprint(sec)))
+			for i := 0; i < spansPerTick; i++ {
+				if open != nil {
+					open.End()
+				}
+				open = tracer.Start(fmt.Sprintf("step-%d-%d", sec, i), obs.L("sec", fmt.Sprint(sec)))
+			}
 		})
 	}
 	k.RunUntil(sim.Time(ticks) * sim.Second)
-	if dumps < 2*ticks/3 {
-		t.Fatalf("%d dumps in %d ticks; the rules should fire more often", dumps, ticks)
+
+	dumps := m.Dumps()
+	if len(dumps) < 2*ticks/3 {
+		t.Fatalf("%d dumps in %d ticks; the rules should fire more often", len(dumps), ticks)
+	}
+	if len(dumps) != len(want) {
+		t.Fatalf("%d dumps, %d firings", len(dumps), len(want))
+	}
+	for i, d := range dumps {
+		if !bytes.Equal(d.Data, want[i]) {
+			t.Errorf("dump %d (%s) differs from the original renderer:\n got %q\nwant %q", i, d.Name, d.Data, want[i])
+		}
+		if cap(d.Data) != len(d.Data) {
+			t.Errorf("dump %d (%s): %d bytes in a %d-byte slice", i, d.Name, len(d.Data), cap(d.Data))
+		}
+	}
+	if wrapped == 0 {
+		t.Errorf("no dump froze after %d log lines and %d spans wrapped the %d-line ring and %d-span tail",
+			logged, tracer.Len(), logDepth, spanTail)
 	}
 }

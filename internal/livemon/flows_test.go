@@ -17,7 +17,6 @@ import (
 	"time"
 
 	"repro/internal/flowstore"
-	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -83,7 +82,7 @@ type flowsResp struct {
 // TestFlowsEndpoint covers the /api/flows query surface: unattached 404,
 // full scan, site and time-range pruning, limit, and bad params.
 func TestFlowsEndpoint(t *testing.T) {
-	s, err := New(Config{PublishEvery: sim.Second})
+	s, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -331,7 +330,7 @@ func TestFlowsEndpointMatchesJSON(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s, err := New(Config{PublishEvery: sim.Second})
+	s, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -392,7 +391,7 @@ func TestFlowsEndpointMatchesJSON(t *testing.T) {
 func TestFlowsEndpointSeesStoreChanges(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "flows.pwfs")
-	s, err := New(Config{PublishEvery: sim.Second})
+	s, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +459,11 @@ func TestFlowsEndpointSeesStoreChanges(t *testing.T) {
 		t.Fatalf("a torn tail changed the rows:\n%s\n%s", before, after)
 	}
 
-	if _, err := flowstore.Repair(nil, path); err != nil {
+	rep, err := flowstore.Verify(nil, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, rep.Good); err != nil {
 		t.Fatal(err)
 	}
 	if got := check("repaired", false, 5); got != before {
@@ -563,7 +566,7 @@ func TestFlowsEndpointConcurrentReplace(t *testing.T) {
 	}
 	install(0)
 
-	s, err := New(Config{PublishEvery: sim.Second})
+	s, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,7 +30,6 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"time"
 
@@ -40,7 +39,7 @@ import (
 	"repro/internal/storefault"
 )
 
-// Config sizes and locates one Server.
+// Config locates one Server.
 type Config struct {
 	// Addr is the listen address (":0" for an ephemeral port).
 	Addr string
@@ -49,21 +48,23 @@ type Config struct {
 	// AddrFile, when set, receives the bound address after listen — a
 	// rendezvous for probes when Addr was ephemeral.
 	AddrFile string
-	// PublishEvery is the sim-time cadence hosts should call
-	// PublishTick at; zero defaults to one virtual second.
-	PublishEvery sim.Duration
 	// Pprof mounts net/http/pprof under /debug/pprof/ when set.
 	Pprof bool
-	// RingSegmentBytes and RingMaxSegments bound the ring (zero takes
-	// the defaults).
-	RingSegmentBytes int64
-	RingMaxSegments  int
-	// SSEBuffer is the per-subscriber queue depth; zero defaults to 64.
-	SSEBuffer int
 	// FS is the filesystem seam the ring writes through; nil means the
 	// real disk (storage-chaos campaigns inject a fault layer here).
 	FS storefault.FS
 }
+
+// publishEvery is the sim-time cadence hosts call PublishTick at.
+// sseBuffer is each SSE subscriber's queue depth: room for the alert
+// and status frames of several ticks, since the publisher never waits
+// and a full queue drops frames (the client recovers them by
+// reconnecting with Last-Event-ID). The ring takes OpenRing's default
+// bounds (1 MiB segments, 8 of them).
+const (
+	publishEvery = sim.Second
+	sseBuffer    = 64
+)
 
 // Server is one live telemetry instance. Create with New, wire with
 // Attach, serve with ListenAndServe, feed with PublishTick from the
@@ -116,10 +117,7 @@ type Server struct {
 // New builds a Server: opens (and, after a crash, recovers) the ring
 // and constructs the wall-clock runtime registry.
 func New(cfg Config) (*Server, error) {
-	if cfg.SSEBuffer <= 0 {
-		cfg.SSEBuffer = 64
-	}
-	ring, err := OpenRing(cfg.FS, cfg.Dir, cfg.RingSegmentBytes, cfg.RingMaxSegments)
+	ring, err := OpenRing(cfg.FS, cfg.Dir, 0, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -158,12 +156,7 @@ func (s *Server) RingRef() *Ring { return s.ring }
 
 // Interval is the sim-time publish cadence hosts should drive
 // PublishTick at.
-func (s *Server) Interval() sim.Duration {
-	if s.cfg.PublishEvery > 0 {
-		return s.cfg.PublishEvery
-	}
-	return sim.Second
-}
+func (s *Server) Interval() sim.Duration { return publishEvery }
 
 // siteStatusDTO mirrors health.SiteStatus for JSON: encoding/json
 // rejects NaN, so the not-modeled markers become absent fields.
@@ -232,17 +225,6 @@ type snapshotRecord struct {
 	Points []seriesPoint `json:"points"`
 }
 
-func labelID(labels []obs.Label) string {
-	if len(labels) == 0 {
-		return ""
-	}
-	parts := make([]string, len(labels))
-	for i, l := range labels {
-		parts[i] = l.Key + "=" + l.Value
-	}
-	return strings.Join(parts, ",")
-}
-
 func encodeSnapshot(points []obs.MetricPoint) []byte {
 	rec := snapshotRecord{Points: make([]seriesPoint, 0, len(points))}
 	for _, mp := range points {
@@ -250,7 +232,7 @@ func encodeSnapshot(points []obs.MetricPoint) []byte {
 			continue // JSON cannot carry it; absent beats corrupt
 		}
 		rec.Points = append(rec.Points, seriesPoint{
-			N: mp.Name, L: labelID(mp.Labels), V: mp.Value, S: mp.Sum,
+			N: mp.Name, L: mp.ID, V: mp.Value, S: mp.Sum,
 		})
 	}
 	return mustJSON(rec)

@@ -45,11 +45,11 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, into any) {
 func TestServerEndpoints(t *testing.T) {
 	k := sim.NewKernel()
 	reg := obs.NewKernelRegistry(k)
-	mon, err := health.NewMonitor(k, reg, nil, health.Config{})
+	mon, err := health.NewMonitor(k, reg, nil, health.RuleSet{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := New(Config{PublishEvery: sim.Second})
+	s, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +180,7 @@ func TestConcurrentScrapeRace(t *testing.T) {
 	k := sim.NewKernel()
 	reg := obs.NewKernelRegistry(k)
 	obs.CollectKernel(reg, k)
-	s, err := New(Config{PublishEvery: sim.Millisecond})
+	s, err := New(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,11 +240,13 @@ func TestConcurrentScrapeRace(t *testing.T) {
 		}
 	}()
 
+	// Publish on a 1 ms cadence, far finer than a host's, so scrapes
+	// race many publishes.
 	next := sim.Duration(0)
 	for k.Step() {
 		if k.Now() >= next {
 			s.PublishTick(k.Now())
-			next = k.Now() + s.Interval()
+			next = k.Now() + sim.Millisecond
 		}
 	}
 	s.PublishTick(k.Now())

@@ -25,7 +25,7 @@ type subscriber struct {
 // under one lock acquisition, so no event published in between can be
 // missed or duplicated.
 func (s *Server) subscribe(lastID uint64) ([]Record, *subscriber) {
-	sub := &subscriber{ch: make(chan sseEvent, s.cfg.SSEBuffer)}
+	sub := &subscriber{ch: make(chan sseEvent, sseBuffer)}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	replay := s.ring.EventsSince(lastID)

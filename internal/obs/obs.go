@@ -511,6 +511,9 @@ type MetricPoint struct {
 	Kind   Kind
 	Help   string
 	Labels []Label
+	// ID is the label identity the registry keys the instrument by:
+	// Labels sorted by key and joined as "k=v,k=v" ("" when unlabeled).
+	ID string
 	// Value holds the counter or gauge value; for histograms it is the
 	// observation count.
 	Value float64
@@ -546,7 +549,7 @@ func (r *Registry) Snapshot() []MetricPoint {
 		sort.Strings(ids)
 		for _, id := range ids {
 			inst := f.insts[id]
-			mp := MetricPoint{Name: f.name, Kind: f.kind, Help: f.help, Labels: inst.labels}
+			mp := MetricPoint{Name: f.name, Kind: f.kind, Help: f.help, Labels: inst.labels, ID: id}
 			switch f.kind {
 			case KindCounter:
 				mp.Value = float64(inst.c.Value())

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
 	"sync"
 
 	"repro/internal/sim"
@@ -23,21 +22,10 @@ type Tracer struct {
 	spans []*Span
 
 	// Memory bound (SetSpanCap). 0 means unbounded; past the cap new
-	// spans and counter samples are dropped and counted.
+	// spans are dropped and counted.
 	spanCap  int
 	dropped  uint64
 	droppedC *Counter
-
-	// Counter samples recorded for the Chrome exporter's "C" events
-	// (RecordCounter); not part of the JSONL span artifact.
-	counters []counterSample
-}
-
-// counterSample is one RecordCounter observation.
-type counterSample struct {
-	name string
-	at   sim.Time
-	v    float64
 }
 
 // NewTracer builds a tracer stamping spans with clock (nil clock stamps
@@ -69,11 +57,11 @@ func (t *Tracer) Start(name string, attrs ...Label) *Span {
 	return t.startSpan(name, 0, attrs)
 }
 
-// SetSpanCap bounds the tracer's memory: once n spans (or n counter
-// samples) are retained, further ones are dropped instead of growing
-// without bound on long campaigns. Drops increment dropped (typically
-// the registry's patchwork_trace_dropped_total counter; nil is allowed)
-// and the Dropped tally. n <= 0 restores unbounded retention. Because
+// SetSpanCap bounds the tracer's memory: once n spans are retained,
+// further ones are dropped instead of growing without bound on long
+// campaigns. Drops increment dropped (typically the registry's
+// patchwork_trace_dropped_total counter; nil is allowed) and the
+// Dropped tally. n <= 0 restores unbounded retention. Because
 // spans are only started from global events, the cap trips at the same
 // point in serial and laned runs — sim artifacts stay deterministic.
 func (t *Tracer) SetSpanCap(n int, dropped *Counter) {
@@ -86,7 +74,7 @@ func (t *Tracer) SetSpanCap(n int, dropped *Counter) {
 	t.droppedC = dropped
 }
 
-// Dropped reports how many spans and counter samples the cap discarded.
+// Dropped reports how many spans the cap discarded.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
@@ -96,14 +84,6 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// drop counts one capped-out record. Callers hold t.mu.
-func (t *Tracer) drop() {
-	t.dropped++
-	if t.droppedC != nil {
-		t.droppedC.Inc()
-	}
-}
-
 func (t *Tracer) startSpan(name string, parent uint64, attrs []Label) *Span {
 	if t == nil {
 		return nil
@@ -111,7 +91,8 @@ func (t *Tracer) startSpan(name string, parent uint64, attrs []Label) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.spanCap > 0 && len(t.spans) >= t.spanCap {
-		t.drop()
+		t.dropped++
+		t.droppedC.Inc()
 		return nil
 	}
 	t.next++
@@ -131,24 +112,6 @@ func (t *Tracer) Len() int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return len(t.spans)
-}
-
-// RecordCounter samples a metric value at the current sim time for the
-// Chrome exporter, which renders the series as a counter ("C") track
-// alongside the spans — load next to latency in one flame view. Samples
-// are separate from spans: they never appear in WriteJSONL, so existing
-// span artifacts are unaffected. Subject to the SetSpanCap bound.
-func (t *Tracer) RecordCounter(name string, v float64) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.spanCap > 0 && len(t.counters) >= t.spanCap {
-		t.drop()
-		return
-	}
-	t.counters = append(t.counters, counterSample{name: name, at: t.clock(), v: v})
 }
 
 // Child opens a span parented on s. Safe on a nil receiver (returns nil).
@@ -193,7 +156,7 @@ func (s *Span) End() {
 }
 
 // SpanRecord is an exported snapshot of one span, for consumers that
-// iterate the trace (the health flight recorder, the Chrome exporter).
+// iterate the trace (the health flight recorder's span tail).
 type SpanRecord struct {
 	ID     uint64
 	Parent uint64
@@ -240,115 +203,6 @@ func (t *Tracer) WriteJSONL(w io.Writer) error {
 		if err := writeSpanJSON(bw, sp); err != nil {
 			return err
 		}
-	}
-	return bw.Flush()
-}
-
-// chromeMicros renders a sim time as Chrome trace microseconds with
-// nanosecond precision preserved in the fraction.
-func chromeMicros(t sim.Time) string {
-	return fmt.Sprintf("%d.%03d", int64(t)/1000, int64(t)%1000)
-}
-
-// WriteChromeTrace emits the span tree in the Chrome trace-event JSON
-// array format, so a dump opens directly in about://tracing or Perfetto.
-// Ended spans become complete ("X") events; still-open spans become
-// begin ("B") events. Each root span and each of its direct children get
-// their own track (tid), so concurrent per-site subtrees render side by
-// side instead of interleaving; deeper descendants inherit their
-// subtree's track and nest by timing. Counter samples recorded with
-// RecordCounter follow the spans as counter ("C") events on tid 0.
-// Output is deterministic for a deterministic simulation.
-func (t *Tracer) WriteChromeTrace(w io.Writer) error {
-	recs := t.Records()
-	var counters []counterSample
-	if t != nil {
-		t.mu.Lock()
-		counters = append(counters, t.counters...)
-		t.mu.Unlock()
-	}
-	byID := make(map[uint64]SpanRecord, len(recs))
-	for _, r := range recs {
-		byID[r.ID] = r
-	}
-	// track resolves the tid: the span itself when it is a root or a
-	// direct child of a root, otherwise its closest such ancestor.
-	var track func(r SpanRecord) uint64
-	track = func(r SpanRecord) uint64 {
-		if r.Parent == 0 {
-			return r.ID
-		}
-		parent, ok := byID[r.Parent]
-		if !ok || parent.Parent == 0 {
-			return r.ID
-		}
-		return track(parent)
-	}
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("[\n"); err != nil {
-		return err
-	}
-	for i, r := range recs {
-		if i > 0 {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		name, err := json.Marshal(r.Name)
-		if err != nil {
-			return err
-		}
-		ph := "B"
-		if r.Ended {
-			ph = "X"
-		}
-		if _, err := fmt.Fprintf(bw, `{"name":%s,"cat":"sim","ph":%q,"ts":%s,`,
-			name, ph, chromeMicros(r.Start)); err != nil {
-			return err
-		}
-		if r.Ended {
-			if _, err := fmt.Fprintf(bw, `"dur":%s,`, chromeMicros(r.End-r.Start)); err != nil {
-				return err
-			}
-		}
-		if _, err := fmt.Fprintf(bw, `"pid":1,"tid":%d,"args":{"span":%d,"parent":%d`,
-			track(r), r.ID, r.Parent); err != nil {
-			return err
-		}
-		for _, a := range r.Attrs {
-			k, err := json.Marshal(a.Key)
-			if err != nil {
-				return err
-			}
-			v, err := json.Marshal(a.Value)
-			if err != nil {
-				return err
-			}
-			if _, err := fmt.Fprintf(bw, ",%s:%s", k, v); err != nil {
-				return err
-			}
-		}
-		if _, err := bw.WriteString("}}"); err != nil {
-			return err
-		}
-	}
-	for i, c := range counters {
-		if i > 0 || len(recs) > 0 {
-			if _, err := bw.WriteString(",\n"); err != nil {
-				return err
-			}
-		}
-		name, err := json.Marshal(c.name)
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(bw, `{"name":%s,"cat":"sim","ph":"C","ts":%s,"pid":1,"tid":0,"args":{"value":%s}}`,
-			name, chromeMicros(c.at), strconv.FormatFloat(c.v, 'g', -1, 64)); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.WriteString("\n]\n"); err != nil {
-		return err
 	}
 	return bw.Flush()
 }

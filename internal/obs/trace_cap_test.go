@@ -1,67 +1,6 @@
 package obs
 
-import (
-	"bytes"
-	"encoding/json"
-	"testing"
-
-	"repro/internal/sim"
-)
-
-// TestChromeTraceEscaping checks span names and attributes that are
-// hostile to JSON (quotes, backslashes, newlines, non-ASCII) survive
-// the Chrome exporter — the output must parse and round-trip the names.
-func TestChromeTraceEscaping(t *testing.T) {
-	tr := NewTracer(nil)
-	names := []string{
-		`quote " inside`,
-		`back\slash`,
-		"new\nline\tand tab",
-		"unicode – ünïcödé 事件",
-		"</script><b>html</b>",
-	}
-	for _, n := range names {
-		sp := tr.Start(n, L("attr \"key\"", "val\nue"))
-		sp.End()
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-		t.Fatalf("hostile names broke the JSON: %v\n%s", err, buf.String())
-	}
-	got := make(map[string]bool)
-	for _, e := range events {
-		if n, ok := e["name"].(string); ok {
-			got[n] = true
-		}
-	}
-	for _, n := range names {
-		if !got[n] {
-			t.Errorf("name %q did not round-trip", n)
-		}
-	}
-}
-
-// TestChromeTraceEmpty checks the zero-span and nil-tracer exports are
-// still valid (empty) JSON arrays.
-func TestChromeTraceEmpty(t *testing.T) {
-	for name, tr := range map[string]*Tracer{"nil": nil, "zero-span": NewTracer(nil)} {
-		var buf bytes.Buffer
-		if err := tr.WriteChromeTrace(&buf); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		var events []any
-		if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
-			t.Fatalf("%s: invalid JSON: %v\n%s", name, err, buf.String())
-		}
-		if len(events) != 0 {
-			t.Errorf("%s: %d events from an empty tracer", name, len(events))
-		}
-	}
-}
+import "testing"
 
 // TestSpanCap checks the memory bound: spans past the cap are dropped,
 // counted, and mirrored into the wired counter, and the nil-span return
@@ -89,69 +28,10 @@ func TestSpanCap(t *testing.T) {
 		t.Errorf("dropped counter = %v, want 2", got)
 	}
 
-	// Counter samples share the bound.
-	tr2 := NewTracer(nil)
-	tr2.SetSpanCap(2, nil)
-	for i := 0; i < 4; i++ {
-		tr2.RecordCounter("m", float64(i))
-	}
-	if tr2.Dropped() != 2 {
-		t.Errorf("counter samples dropped = %d, want 2", tr2.Dropped())
-	}
-
 	// Cap removal restores unbounded growth.
 	tr.SetSpanCap(0, nil)
 	tr.Start("s")
 	if tr.Len() != 4 {
 		t.Errorf("len after uncapping = %d, want 4", tr.Len())
 	}
-}
-
-// TestRecordCounterChromeOnly checks counter samples land in the Chrome
-// export as "C" events but never in the JSONL span artifact.
-func TestRecordCounterChromeOnly(t *testing.T) {
-	now := sim.Time(0)
-	tr := NewTracer(func() sim.Time { return now })
-	sp := tr.Start("work")
-	now = 1500
-	tr.RecordCounter("frames_total", 42)
-	now = 3000
-	sp.End()
-
-	var jsonl bytes.Buffer
-	if err := tr.WriteJSONL(&jsonl); err != nil {
-		t.Fatal(err)
-	}
-	if bytes.Contains(jsonl.Bytes(), []byte("frames_total")) {
-		t.Error("counter sample leaked into the JSONL span artifact")
-	}
-
-	var chrome bytes.Buffer
-	if err := tr.WriteChromeTrace(&chrome); err != nil {
-		t.Fatal(err)
-	}
-	var events []map[string]any
-	if err := json.Unmarshal(chrome.Bytes(), &events); err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, e := range events {
-		if e["ph"] == "C" && e["name"] == "frames_total" {
-			found = true
-			if e["ts"] != 1.5 {
-				t.Errorf("counter ts = %v, want 1.5 µs", e["ts"])
-			}
-			args := e["args"].(map[string]any)
-			if args["value"] != 42.0 {
-				t.Errorf("counter value = %v, want 42", args["value"])
-			}
-		}
-	}
-	if !found {
-		t.Error("counter sample missing from the Chrome export")
-	}
-
-	// Nil tracer: RecordCounter must be a no-op, not a panic.
-	var nilTr *Tracer
-	nilTr.RecordCounter("x", 1)
 }

@@ -10,8 +10,9 @@
 # the wire-format parsers (seed corpus plus a few seconds of mutation —
 # enough to catch regressions in the option/length walkers — plus the
 # flow-store segment codec, the sketch merge operators, the sim
-# kernel's FIFO-stream-vs-AtArg differential, and the crcline frame
-# codec shared by the WAL, the ring and provenance traces), a
+# kernel's FIFO-stream-vs-AtArg differential, the crcline frame codec
+# shared by the WAL, the ring and provenance traces, and the fault and
+# storage-fault plan parsers behind -faults and -store-chaos), a
 # harvest scheduling gate (bundles compressed on worker goroutines must
 # be byte-identical at GOMAXPROCS 1 and 4, repeated under the race
 # detector), a window prefetch gate (traffic windows built one ahead on
@@ -82,6 +83,8 @@ go test -run='^$' -fuzz='^FuzzSketchMerge$' -fuzztime=5s ./internal/sketch
 go test -run='^$' -fuzz='^FuzzRingSegment$' -fuzztime=5s ./internal/livemon
 go test -run='^$' -fuzz='^FuzzScan$' -fuzztime=5s ./internal/crcline
 go test -run='^$' -fuzz='^FuzzFIFOMatchesAtArg$' -fuzztime=5s ./internal/sim
+go test -run='^$' -fuzz='^FuzzParsePlan$' -fuzztime=5s ./internal/faults
+go test -run='^$' -fuzz='^FuzzParsePlan$' -fuzztime=5s ./internal/storefault
 
 # Harvest scheduling gate: pcaps are compressed off the simulation
 # goroutine, so every bundle must be the same however the workers are
