@@ -10,6 +10,7 @@ import (
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/capture"
@@ -25,14 +26,21 @@ import (
 // pieces straddle chunk boundaries.
 func testPcap(t *testing.T, n, size int) (*chunkStream, []byte) {
 	t.Helper()
-	s := &chunkStream{}
+	return testPcapOn(t, new(chunkList), n, size, 0)
+}
+
+// testPcapOn is testPcap on a stream that takes its chunks from free,
+// with record i's bytes all equal to fill+i.
+func testPcapOn(t *testing.T, free *chunkList, n, size int, fill byte) (*chunkStream, []byte) {
+	t.Helper()
+	s := &chunkStream{free: free}
 	var raw bytes.Buffer
 	w, err := pcap.NewWriter(io.MultiWriter(s, &raw), pcap.FileHeader{SnapLen: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < n; i++ {
-		if err := w.WriteRecord(int64(i)*1000, bytes.Repeat([]byte{byte(i)}, size), 1500); err != nil {
+		if err := w.WriteRecord(int64(i)*1000, bytes.Repeat([]byte{fill + byte(i)}, size), 1500); err != nil {
 			t.Fatal(err)
 		}
 		if i == 0 {
@@ -137,6 +145,121 @@ func TestDecompressPcapsLowestIndexError(t *testing.T) {
 			!errors.Is(err, gzip.ErrChecksum) {
 			t.Fatalf("run %d: err = %v, want stream 1's checksum error", run, err)
 		}
+	}
+}
+
+// TestDecompressPcapsAfterFailure: pooled gzip readers that failed on a
+// corrupt stream decompress the next bundle byte for byte. Four workers
+// alternate 50 times between a bundle whose stream 2 is corrupt mid-body
+// and a valid one, so readers that stopped part way through a stream
+// come back out of the pool.
+func TestDecompressPcapsAfterFailure(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	var want [][]byte
+	good, bad := &Bundle{}, &Bundle{}
+	for i := 0; i < 6; i++ {
+		s, raw := testPcap(t, 800+100*i, 120)
+		z, err := compressPcap(s.chunks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, raw)
+		good.CompressedPcaps = append(good.CompressedPcaps, z)
+		bad.CompressedPcaps = append(bad.CompressedPcaps, bytes.Clone(z))
+	}
+	z2 := bad.CompressedPcaps[2]
+	z2[len(z2)/2] ^= 0xFF
+	for run := 0; run < 50; run++ {
+		if _, err := bad.DecompressPcaps(); err == nil || !strings.HasPrefix(err.Error(), "patchwork: bundle pcap 2: ") {
+			t.Fatalf("run %d: err = %v, want stream 2's error", run, err)
+		}
+		got, err := good.DecompressPcaps()
+		if err != nil {
+			t.Fatalf("run %d: valid bundle: %v", run, err)
+		}
+		for i := range want {
+			if !bytes.Equal(got[i], want[i]) {
+				t.Fatalf("run %d: pcap %d: %d bytes back differ from the %d written", run, i, len(got[i]), len(want[i]))
+			}
+		}
+	}
+}
+
+// TestChunkListReuse: a harvested stream's chunks go back to the
+// coordinator's free list once compressed, and a second stream of the
+// same length takes every chunk it needs from there. Each stream's
+// chunks hold exactly its own bytes, and the list is empty once
+// Coordinator.Run returns.
+func TestChunkListReuse(t *testing.T) {
+	env := newEnv(t, 3)
+	coord, err := NewCoordinator(env.fed, env.store, env.poller, quickConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// base identifies a chunk by its backing array.
+	base := func(c []byte) *byte { return &c[:1][0] }
+	joined := func(chunks [][]byte) []byte { return bytes.Join(chunks, nil) }
+
+	a, rawA := testPcapOn(t, &coord.chunks, 2000, 150, 0)
+	if len(a.chunks) < 4 {
+		t.Fatalf("first stream has %d chunks, want several", len(a.chunks))
+	}
+	if !bytes.Equal(joined(a.chunks), rawA) {
+		t.Fatal("first stream's chunks differ from its bytes")
+	}
+	made := make(map[*byte]bool)
+	for _, c := range a.chunks {
+		made[base(c)] = true
+	}
+	h := &harvestedPcap{raw: a.detach()}
+	var site sync.WaitGroup
+	coord.compress(h, &site)
+	site.Wait()
+	if h.err != nil || h.raw != nil {
+		t.Fatalf("compressed stream: err %v, raw held %v", h.err, h.raw != nil)
+	}
+	if n := len(coord.chunks.free); n != len(made) {
+		t.Fatalf("free list holds %d chunks after compression, want the stream's %d", n, len(made))
+	}
+	unzipped, err := decompressPcap(h.z)
+	if err != nil || !bytes.Equal(unzipped, rawA) {
+		t.Fatalf("first stream's bundle bytes differ from its capture (err %v)", err)
+	}
+
+	b, rawB := testPcapOn(t, &coord.chunks, 2000, 150, 1)
+	if bytes.Equal(rawA, rawB) {
+		t.Fatal("the two streams wrote the same bytes")
+	}
+	fresh := 0
+	for _, c := range b.chunks {
+		if !made[base(c)] {
+			fresh++
+		}
+	}
+	if fresh != 0 || len(b.chunks) != len(made) {
+		t.Errorf("second stream made %d new chunks of %d, want all %d from the free list", fresh, len(b.chunks), len(made))
+	}
+	if !bytes.Equal(joined(b.chunks), rawB) {
+		t.Error("second stream's chunks differ from its bytes")
+	}
+	if n := len(coord.chunks.free); n != 0 {
+		t.Errorf("free list holds %d chunks after the second stream, want 0", n)
+	}
+
+	prof, err := coord.Run()
+	env.stop()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcaps := 0
+	for _, bu := range prof.Bundles {
+		pcaps += len(bu.CompressedPcaps)
+	}
+	if pcaps == 0 {
+		t.Fatal("the run harvested no streams")
+	}
+	if coord.chunks.free != nil {
+		t.Errorf("free list holds %d chunks after Run returned, want none", len(coord.chunks.free))
 	}
 }
 

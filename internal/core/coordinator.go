@@ -32,6 +32,9 @@ type Coordinator struct {
 	// compressing counts every site's streams not yet compressed.
 	compressSem chan struct{}
 	compressing sync.WaitGroup
+	// chunks is the free list every site's capture streams take their
+	// chunks from and compression returns them to.
+	chunks chunkList
 }
 
 // NewCoordinator wires a coordinator to a federation and its telemetry.
@@ -132,6 +135,7 @@ func (c *Coordinator) Start(done func(*Profile, error)) {
 			r:          c.r.Split(),
 			parentSpan: expSpan,
 			compress:   c.compress,
+			chunks:     &c.chunks,
 		}
 		inst.bundle.Site = site.Spec.Name
 		c.instances[site.Spec.Name] = inst
@@ -233,12 +237,17 @@ func (c *Coordinator) freeSpaceAll() (string, error) {
 	return strings.Join(notes, "; "), nil
 }
 
-// Wait blocks until every harvested capture stream has been compressed.
+// Wait blocks until every harvested capture stream has been compressed,
+// then drops the idle chunks those streams returned to the free list.
 // Each site's bundle already waits for its own streams before delivery,
-// so a completed profile has none pending; a caller that abandons a run
-// (a crash point, an error, a stalled kernel) calls Wait before it
-// returns so no compression outlives the run.
-func (c *Coordinator) Wait() { c.compressing.Wait() }
+// so a completed profile has none pending; every run path calls Wait
+// on its way out, a run abandoned at a crash point, an error or a
+// stalled kernel included, so no compression and no idle chunk outlives
+// the run.
+func (c *Coordinator) Wait() {
+	c.compressing.Wait()
+	c.chunks.drop()
+}
 
 // Run is the synchronous convenience wrapper: it starts the profile and
 // drives the kernel until completion.

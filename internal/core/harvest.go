@@ -17,9 +17,11 @@ const streamChunk = 64 << 10
 
 // chunkStream is an append-only capture stream. Writes fill fixed-size
 // chunks, so a growing pcap never copies the bytes it already holds; a
-// doubling buffer allocates about three times what it keeps.
+// doubling buffer allocates about three times what it keeps. Each new
+// chunk comes from the coordinator's free list.
 type chunkStream struct {
 	chunks [][]byte
+	free   *chunkList
 }
 
 // Write appends p, starting a new chunk whenever the last one is full.
@@ -28,7 +30,7 @@ func (s *chunkStream) Write(p []byte) (int, error) {
 	for len(p) > 0 {
 		last := len(s.chunks) - 1
 		if last < 0 || len(s.chunks[last]) == streamChunk {
-			s.chunks = append(s.chunks, make([]byte, 0, streamChunk))
+			s.chunks = append(s.chunks, s.free.take())
 			last++
 		}
 		c := s.chunks[last]
@@ -39,8 +41,59 @@ func (s *chunkStream) Write(p []byte) (int, error) {
 	return n, nil
 }
 
+// detach hands the stream's chunks to the caller. Later writes start
+// new chunks, so the caller's chunks are never written again.
+func (s *chunkStream) detach() [][]byte {
+	c := s.chunks
+	s.chunks = nil
+	return c
+}
+
+// chunkList is the coordinator's free list of capture-stream chunks.
+// Streams take chunks on the simulation goroutine (on lane workers under
+// -lanes) and compression returns them from its own goroutines, so a
+// mutex guards the list. Sites harvest at staggered times, so the chunks
+// one site's harvest returns carry other sites' later captures.
+type chunkList struct {
+	mu   sync.Mutex
+	free [][]byte
+}
+
+// take returns an empty chunk, allocating one only when the list is
+// empty.
+func (l *chunkList) take() []byte {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := len(l.free)
+	if n == 0 {
+		return make([]byte, 0, streamChunk)
+	}
+	c := l.free[n-1]
+	l.free[n-1] = nil
+	l.free = l.free[:n-1]
+	return c
+}
+
+// give returns chunks to the list, emptied. The caller must not touch
+// them again.
+func (l *chunkList) give(chunks [][]byte) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	for _, c := range chunks {
+		l.free = append(l.free, c[:0])
+	}
+}
+
+// drop lets the garbage collector have every idle chunk.
+func (l *chunkList) drop() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	l.free = nil
+}
+
 // harvestedPcap is one capture stream handed off for compression. The
-// compressing goroutine drops raw once z holds its compressed bytes.
+// compressing goroutine returns raw's chunks to the coordinator's free
+// list once z holds its compressed bytes, or err its failure.
 type harvestedPcap struct {
 	raw [][]byte
 	z   []byte
@@ -57,6 +110,7 @@ func (c *Coordinator) compress(h *harvestedPcap, site *sync.WaitGroup) {
 	go func() {
 		c.compressSem <- struct{}{}
 		h.z, h.err = compressPcap(h.raw)
+		c.chunks.give(h.raw)
 		h.raw = nil
 		<-c.compressSem
 		site.Done()
@@ -123,20 +177,33 @@ func (b *Bundle) DecompressPcaps() ([][]byte, error) {
 	return out, nil
 }
 
+// gunzipScratch is a pooled decompressor and the reader it inflates
+// from. Reset clears a reader's header, error and dictionary, so a
+// reader that failed on one stream decompresses the next like a fresh
+// one.
+type gunzipScratch struct {
+	src bytes.Reader
+	zr  gzip.Reader
+}
+
+var gunzipPool = sync.Pool{New: func() any { return new(gunzipScratch) }}
+
 // decompressPcap expands one gzip stream into a buffer presized from its
-// trailer.
+// trailer. The buffer is the caller's; only the reader is pooled.
 func decompressPcap(cp []byte) ([]byte, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(cp))
-	if err != nil {
+	s := gunzipPool.Get().(*gunzipScratch)
+	defer gunzipPool.Put(s)
+	s.src.Reset(cp)
+	if err := s.zr.Reset(&s.src); err != nil {
 		return nil, err
 	}
 	// ReadFrom wants MinRead spare bytes before it sees EOF; without
 	// them a buffer sized exactly would double on the final read.
 	buf := bytes.NewBuffer(make([]byte, 0, gzipSizeHint(cp)+bytes.MinRead))
-	if _, err := buf.ReadFrom(zr); err != nil {
+	if _, err := buf.ReadFrom(&s.zr); err != nil {
 		return nil, err
 	}
-	if err := zr.Close(); err != nil {
+	if err := s.zr.Close(); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

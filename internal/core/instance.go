@@ -151,10 +151,12 @@ type siteInstance struct {
 	// harvested holds the bundle's capture streams in harvest order.
 	// compress is the coordinator's, which gzips each off the simulation
 	// goroutine; pending counts this site's streams still being
-	// compressed, and finish waits for them.
+	// compressed, and finish waits for them. chunks is the coordinator's
+	// free list, which the streams take their chunks from.
 	harvested []*harvestedPcap
 	compress  func(*harvestedPcap, *sync.WaitGroup)
 	pending   sync.WaitGroup
+	chunks    *chunkList
 
 	totalStored int64
 
@@ -528,7 +530,7 @@ func (si *siteInstance) cycle(runIdx int) {
 		si.notePortSampled(p)
 		si.mMirrored.Inc()
 
-		buf := &chunkStream{}
+		buf := &chunkStream{free: si.chunks}
 		w, err := pcap.NewWriter(buf, pcap.FileHeader{
 			SnapLen: uint32(si.cfg.TruncateBytes), Nanosecond: true,
 		})
@@ -849,11 +851,10 @@ func (si *siteInstance) harvestCycle() {
 		si.totalStored += eng.Stats.StoredBytes
 		// Frames still queued on a capture core complete after harvest
 		// and write on into this stream. Detaching the chunks sends those
-		// late records to fresh chunks nobody reads, so the bundle holds
-		// exactly what was captured by now and the compressing goroutine
-		// shares no memory with the writer.
-		h := &harvestedPcap{raw: buf.chunks}
-		buf.chunks = nil
+		// late records to new chunks nobody reads or returns, so the
+		// bundle holds exactly what was captured by now and the
+		// compressing goroutine shares no memory with the writer.
+		h := &harvestedPcap{raw: buf.detach()}
 		si.harvested = append(si.harvested, h)
 		si.compress(h, &si.pending)
 	}

@@ -210,9 +210,12 @@ func (m *Monitor) ruleSeverity(name string) Severity {
 }
 
 // tick is one sampling pass: ingest the snapshot, record it, publish
-// signals, then evaluate rules.
+// signals, then evaluate rules. Once the recorder's ring is full, the
+// snapshot is written into the points of the slot it is about to
+// overwrite, so nothing may read that slot before rec.snapshot replaces
+// it; series keep copies of the values, never the points.
 func (m *Monitor) tick(now sim.Time) {
-	snap := m.reg.Snapshot()
+	snap := m.reg.AppendSnapshot(m.rec.evicting())
 	for _, mp := range snap {
 		key := seriesKey{mp.Name, mp.ID}
 		inst := m.series[key]

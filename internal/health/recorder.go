@@ -49,6 +49,17 @@ func newRecorder() *recorder {
 	}
 }
 
+// evicting returns the points of the slot the next snapshot will
+// overwrite, for the registry to write that snapshot into, or nil while
+// the ring has room. The slot's points and cached line are stale from
+// then until snapshot replaces them.
+func (r *recorder) evicting() []obs.MetricPoint {
+	if r.snapCount < len(r.snaps) {
+		return nil
+	}
+	return r.snaps[r.snapHead].points
+}
+
 // snapshot retains points; overwriting the oldest slot drops its
 // cached line with it.
 func (r *recorder) snapshot(at sim.Time, points []obs.MetricPoint) {

@@ -3,6 +3,7 @@ package health
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -174,5 +175,57 @@ func TestDumpMatchesOracle(t *testing.T) {
 	if wrapped == 0 {
 		t.Errorf("no dump froze after %d log lines and %d spans wrapped the %d-line ring and %d-span tail",
 			logged, tracer.Len(), logDepth, spanTail)
+	}
+}
+
+// TestRetainedSnapshotsMatchTheirTicks: once the ring is full, each tick
+// snapshots into the storage of the slot it evicts, so no slot still in
+// the ring may share storage with a newer snapshot. The monitor ticks 30
+// times over counters, gauges and a histogram that gains buckets, with a
+// family added mid-run that shifts every point after it; an independent
+// Snapshot taken 1 ms after each tick must equal the ring's slot for
+// that tick after every later tick. The rule set is empty because
+// derived signals write gauges after the tick's snapshot.
+func TestRetainedSnapshotsMatchTheirTicks(t *testing.T) {
+	k := sim.NewKernel()
+	reg := obs.NewKernelRegistry(k)
+	m, err := NewMonitor(k, reg, nil, RuleSet{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frames := reg.Counter("frames_total", obs.L("site", "A"))
+	depth := reg.Gauge("queue_depth", obs.L("site", "B"))
+	lat := reg.Histogram("latency_ns", obs.L("site", "A"))
+	m.Start()
+	const ticks = 30
+	independent := make(map[sim.Time][]obs.MetricPoint)
+	checked := 0
+	for sec := 1; sec <= ticks; sec++ {
+		at := sim.Time(sec) * sim.Second
+		k.At(at-500*sim.Millisecond, func() {
+			frames.Add(int64(sec))
+			depth.Set(float64(sec % 7))
+			lat.Observe(int64(1) << (sec % 40)) // a new bucket every tick until the 40th
+			if sec == 15 {
+				reg.Counter("early_total", obs.L("site", "A")).Inc() // sorts first
+				reg.Histogram("latency_ns", obs.L("site", "B")).Observe(3)
+			}
+		})
+		k.At(at+sim.Millisecond, func() {
+			independent[at] = reg.Snapshot()
+			r := m.rec
+			for i := 0; i < r.snapCount; i++ {
+				s := r.snaps[(r.snapHead+i)%len(r.snaps)]
+				if !reflect.DeepEqual(s.points, independent[s.at]) {
+					t.Errorf("after the tick at %v, the retained snapshot of %v differs from that tick's registry", at, s.at)
+				}
+				checked++
+			}
+		})
+	}
+	k.RunUntil(sim.Time(ticks)*sim.Second + sim.Second)
+	if m.rec.snapCount != snapDepth || checked < ticks*snapDepth/2 {
+		t.Fatalf("ring holds %d snapshots after %d ticks, %d checked; want a full ring of %d",
+			m.rec.snapCount, ticks, checked, snapDepth)
 	}
 }

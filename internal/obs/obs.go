@@ -527,9 +527,17 @@ type MetricPoint struct {
 // Snapshot runs collectors and returns every instrument, sorted by
 // metric name then label identity — a deterministic order, so exports
 // of a deterministic simulation are byte-identical across runs.
-func (r *Registry) Snapshot() []MetricPoint {
+func (r *Registry) Snapshot() []MetricPoint { return r.AppendSnapshot(nil) }
+
+// AppendSnapshot is Snapshot written into dst[:0]: the same points in
+// the same order, in dst's array while it has room. A histogram point
+// keeps its buckets in the Buckets storage of the point it overwrites,
+// so a caller that hands back its oldest snapshot allocates no points or
+// buckets once the registry stops growing. dst's points must not be read
+// afterwards except through the result.
+func (r *Registry) AppendSnapshot(dst []MetricPoint) []MetricPoint {
 	if r == nil {
-		return nil
+		return dst[:0]
 	}
 	r.Collect()
 	r.mu.Lock()
@@ -539,7 +547,7 @@ func (r *Registry) Snapshot() []MetricPoint {
 		names = append(names, n)
 	}
 	sort.Strings(names)
-	var out []MetricPoint
+	out := dst[:0]
 	for _, n := range names {
 		f := r.families[n]
 		ids := make([]string, 0, len(f.insts))
@@ -561,14 +569,21 @@ func (r *Registry) Snapshot() []MetricPoint {
 				mp.Value = float64(inst.h.Count())
 				mp.Sum = inst.h.Sum()
 				mp.At = inst.h.LastUpdate()
+				var bs []BucketCount
+				if i := len(out); i < len(dst) {
+					bs = dst[i].Buckets[:0]
+				}
 				var cum int64
 				for i := 0; i < histBuckets; i++ {
 					if c := inst.h.Bucket(i); c > 0 {
 						cum += c
-						mp.Buckets = append(mp.Buckets, BucketCount{
+						bs = append(bs, BucketCount{
 							UpperBound: 1 << uint(i+1), Count: c,
 						})
 					}
+				}
+				if len(bs) > 0 {
+					mp.Buckets = bs // an empty histogram's Buckets stay nil, as Snapshot's do
 				}
 				// Observe bumps the bucket before the total count, so a
 				// snapshot racing a recording can see one more bucketed

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -364,6 +365,66 @@ func TestEmptyHistogramExports(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(cs.String()), "\n")
 	if len(lines) != 2 || !strings.Contains(lines[1], "NaN") {
 		t.Errorf("csv row for empty histogram should carry NaN quantiles:\n%s", cs.String())
+	}
+}
+
+// TestAppendSnapshotReusesDst: AppendSnapshot into a dirty dst, which
+// holds more points than the registry now has, histograms with more
+// buckets and stale values, returns exactly Snapshot's points. It writes
+// them into dst's array when dst has room, and each histogram's buckets
+// into the storage of the point it overwrites.
+func TestAppendSnapshotReusesDst(t *testing.T) {
+	now := sim.Time(0)
+	clock := func() sim.Time { return now }
+
+	old := NewRegistry(clock)
+	now = 5
+	old.Counter("a_total", L("site", "X")).Add(99)
+	for _, v := range []int64{1, 4, 100, 1e6, 1e9} {
+		old.Histogram("b_latency", L("site", "X")).Observe(v)
+	}
+	old.Histogram("b_latency", L("site", "Y")).Observe(5)
+	old.Histogram("b_latency", L("site", "Y")).Observe(50)
+	old.Gauge("c_depth").Set(1)
+	old.Counter("d_total").Inc()
+	old.Histogram("e_hist").Observe(7)
+
+	r := NewRegistry(clock)
+	now = 9
+	r.Counter("a_total", L("site", "X")).Add(3)
+	r.Histogram("b_latency", L("site", "X")).Observe(1)
+	r.Histogram("b_latency", L("site", "X")).Observe(100)
+	r.Histogram("b_latency", L("site", "Y")) // created, never observed
+	r.Gauge("c_depth").Set(7)
+	r.Help("c_depth", "queue depth")
+
+	dst := old.Snapshot()
+	if len(dst) != 6 || len(dst[1].Buckets) != 5 || len(dst[2].Buckets) != 2 {
+		t.Fatalf("dirty snapshot: %d points, %d and %d buckets; want 6, 5 and 2",
+			len(dst), len(dst[1].Buckets), len(dst[2].Buckets))
+	}
+	buckets := &dst[1].Buckets[0]
+	got := r.AppendSnapshot(dst)
+	want := r.Snapshot()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("AppendSnapshot into a dirty dst:\n got %+v\nwant %+v", got, want)
+	}
+	if &got[0] != &dst[0] {
+		t.Error("AppendSnapshot did not write into dst's array")
+	}
+	if len(got[1].Buckets) != 2 || &got[1].Buckets[0] != buckets {
+		t.Error("b_latency{site=X} did not keep its buckets in the overwritten point's storage")
+	}
+
+	// Fewer points than now but room for all: the array is still dst's.
+	fewer := old.Snapshot()[:2]
+	if got := r.AppendSnapshot(fewer); !reflect.DeepEqual(got, want) || &got[0] != &fewer[0] {
+		t.Errorf("AppendSnapshot into a shorter dst with room: equal %v, in dst's array %v; want both",
+			reflect.DeepEqual(got, want), &got[0] == &fewer[0])
+	}
+	// No room: the points grow a new array, still equal to Snapshot's.
+	if got := r.AppendSnapshot(old.Snapshot()[:1:1]); !reflect.DeepEqual(got, want) {
+		t.Errorf("AppendSnapshot past dst's capacity:\n got %+v\nwant %+v", got, want)
 	}
 }
 

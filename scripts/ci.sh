@@ -14,8 +14,10 @@
 # shared by the WAL, the ring and provenance traces, and the fault and
 # storage-fault plan parsers behind -faults and -store-chaos), a
 # harvest scheduling gate (bundles compressed on worker goroutines must
-# be byte-identical at GOMAXPROCS 1 and 4, repeated under the race
-# detector), a window prefetch gate (traffic windows built one ahead on
+# be byte-identical at GOMAXPROCS 1 and 4, capture chunks recycled
+# through the coordinator's free list must hold only their new stream's
+# bytes, and pooled gzip readers must survive a failed stream, repeated
+# under the race detector), a window prefetch gate (traffic windows built one ahead on
 # goroutines must cross the switch exactly as the reference driver's at
 # GOMAXPROCS 1 and 4, repeated under the race detector), an acap
 # writer gate (pwanalyze decodes, folds and encodes acaps on three
@@ -88,8 +90,14 @@ go test -run='^$' -fuzz='^FuzzParsePlan$' -fuzztime=5s ./internal/storefault
 
 # Harvest scheduling gate: pcaps are compressed off the simulation
 # goroutine, so every bundle must be the same however the workers are
-# scheduled, including a cycle whose engines a restart rebuilt.
-go test -race -count=10 -run '^TestHarvestSchedulingIndependent$' ./internal/core
+# scheduled, including a cycle whose engines a restart rebuilt. Chunks
+# go back to the coordinator's free list once compressed, and
+# TestHarvestSchedulingIndependent's streams reuse them across its
+# cycles at GOMAXPROCS 4; the free-list test checks a reused chunk holds
+# only its new stream's bytes, and the pooled-reader test that gzip
+# readers which failed on a corrupt stream decompress the next bundle
+# byte for byte.
+go test -race -count=10 -run '^(TestHarvestSchedulingIndependent|TestChunkListReuse|TestDecompressPcapsAfterFailure)$' ./internal/core
 
 # Window prefetch gate: traffic drivers build each window on a goroutine
 # one window ahead, so their transits must match the reference driver
