@@ -26,6 +26,7 @@ package capture
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 
 	"repro/internal/hostsim"
@@ -106,9 +107,10 @@ type Config struct {
 	Host *hostsim.Host
 	// Writer receives captured records; nil counts without storing.
 	Writer *pcap.Writer
-	// Filter drops frames before capture when it returns false. On the
-	// FPGA method it runs at line rate for free; on the host methods it
-	// costs CPU.
+	// Filter drops frames before capture when it returns false. It sees
+	// the frame's Data, which may leave off an all-zero tail
+	// (switchsim.Frame). On the FPGA method it runs at line rate for
+	// free; on the host methods it costs CPU.
 	Filter func(data []byte) bool
 	// SampleEvery keeps only every Nth frame when > 1 (sampling
 	// offload).
@@ -178,13 +180,13 @@ func (s Stats) LossPercent() units.Percent {
 // frameDone is a pooled completion record for one in-flight frame: the
 // state its kernel event needs, carried as the event's argument instead
 // of a per-frame closure. The delivered frame's bytes are only borrowed,
-// so the record keeps its own copy of the stored prefix in data. Records
-// recycle through Engine.doneFree with their buffers, so the
+// so the record keeps its own copy of the frame's Data, at most stored
+// bytes of it; the rest of the stored bytes are zero (switchsim.Frame).
+// Records recycle through Engine.doneFree with their buffers, so the
 // steady-state per-frame path allocates nothing.
 type frameDone struct {
 	core   *coreState
-	data   []byte // the first stored bytes of the frame
-	noData bool   // rate-only frame: the pcap record is zero-filled
+	data   []byte // the frame's first bytes, at most stored of them
 	size   int    // wire length
 	stored int
 	slot   int64
@@ -410,7 +412,6 @@ func (e *Engine) DeliverFrame(now sim.Time, f switchsim.Frame) {
 		e.doneFree = fd.next
 	}
 	fd.core = core
-	fd.noData = f.Data == nil
 	fd.data = append(fd.data[:0], f.Data[:min(len(f.Data), stored)]...)
 	fd.size = f.Size
 	fd.stored = stored
@@ -440,11 +441,12 @@ func (e *Engine) frameDone(a any) {
 	e.mCaptured.IncAt(now)
 	e.mStoredBytes.AddAt(int64(fd.stored), now)
 	if e.cfg.Writer != nil {
-		data := fd.data
-		if fd.noData {
-			data = make([]byte, fd.stored)
-		}
-		_ = e.cfg.Writer.WriteRecord(int64(now), data, fd.size)
+		// The record stores the frame's first stored bytes: extend the
+		// copied Data with the zeros it left off.
+		n := len(fd.data)
+		fd.data = slices.Grow(fd.data, fd.stored-n)[:fd.stored]
+		clear(fd.data[n:])
+		_ = e.cfg.Writer.WriteRecord(int64(now), fd.data, fd.size)
 	}
 	fd.core = nil
 	fd.next = e.doneFree

@@ -278,6 +278,55 @@ func TestDeliverFrameBorrowsData(t *testing.T) {
 	}
 }
 
+// TestZeroTailRecords pins the switchsim.Frame zero-tail rule from the
+// receiver side: Data holds a frame's first bytes and the rest are zero.
+// A frame delivered without its zero tail must write the record the
+// whole frame writes, and a nil-Data frame the record of an all-zero
+// frame of its Size, at snap lengths below, at and above the prefix.
+func TestZeroTailRecords(t *testing.T) {
+	const size, prefix = 300, 74
+	whole, zero := make([]byte, size), make([]byte, size)
+	for i := range whole[:prefix] {
+		whole[i] = byte(i + 1)
+	}
+	for _, snap := range []int{64, prefix, 200, 400} {
+		record := func(f switchsim.Frame) []byte {
+			var buf bytes.Buffer
+			w, err := pcap.NewWriter(&buf, pcap.FileHeader{SnapLen: uint32(snap)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, e := newEngine(t, Config{Method: MethodDPDK, SnapLen: snap, Writer: w})
+			e.DeliverFrame(0, f)
+			k.Run()
+			e.Flush()
+			rd, err := pcap.NewReader(bytes.NewReader(buf.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := rd.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(rec.Data) != min(snap, size) || rec.OriginalLength != size {
+				t.Errorf("snap %d: record %d/%d bytes, want %d/%d", snap, len(rec.Data), rec.OriginalLength, min(snap, size), size)
+			}
+			return buf.Bytes()
+		}
+		for _, tc := range []struct {
+			name      string
+			got, want switchsim.Frame
+		}{
+			{"prefix", switchsim.Frame{Data: whole[:prefix], Size: size}, switchsim.NewFrame(whole)},
+			{"nil", switchsim.Frame{Size: size}, switchsim.NewFrame(zero)},
+		} {
+			if got, want := record(tc.got), record(tc.want); !bytes.Equal(got, want) {
+				t.Errorf("snap %d: the %s frame writes\n% x\nthe whole frame\n% x", snap, tc.name, got, want)
+			}
+		}
+	}
+}
+
 func TestStorageStallCausesLoss(t *testing.T) {
 	// With tight dirty thresholds and slow storage, the writev stalls
 	// must translate into Rx-queue drops that would not occur otherwise.

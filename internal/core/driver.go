@@ -23,9 +23,10 @@ import (
 // starts, one window ahead, so set them before Start.
 //
 // A buffer's arena stores each frame without its all-zero tail (zero
-// payload and padding, most of a data frame's bytes); fire expands the
-// frame into a scratch buffer that is all zero between calls. That is
-// safe because a frame's bytes are only borrowed for the Transit call.
+// payload and padding, most of a data frame's bytes), and fire hands the
+// switch those bytes as they are: a switchsim.Frame's bytes past
+// len(Data) are zero by definition. Transit only borrows them for the
+// call, so a frame that no mirror clones is never read.
 //
 // The steady-state path allocates nothing per frame. Frames are described
 // by records in one reused slice, recycled at the next window event
@@ -65,7 +66,6 @@ type TrafficDriver struct {
 	recs     []driverFrame // the current window's frames
 	spare    *driverFrame  // free list of straggler records
 	streams  []*sim.FIFO   // in-window frames, one stream per ActivePorts index
-	scratch  []byte        // fire's frame buffer, all zero between calls
 	fireFn   func(any)
 	windowFn func()
 }
@@ -238,19 +238,13 @@ func (d *TrafficDriver) straggler(tf *trafficgen.TimedFrame) *driverFrame {
 	return r
 }
 
-// fire crosses one frame over the switch (the event callback). It
-// expands the frame into the scratch buffer and zeroes the prefix again
-// afterwards. Transit borrows the bytes only for the call, so the
-// scratch and a straggler record are free for reuse as soon as it
+// fire crosses one frame over the switch (the event callback), its
+// stored prefix as the frame's Data. Transit borrows the bytes only for
+// the call, so a straggler record is free for reuse as soon as it
 // returns.
 func (d *TrafficDriver) fire(a any) {
 	r := a.(*driverFrame)
-	if len(d.scratch) < r.size {
-		d.scratch = make([]byte, r.size)
-	}
-	data := d.scratch[:r.size:r.size]
-	copy(data, r.data)
-	f := switchsim.NewFrame(data)
+	f := switchsim.Frame{Data: r.data, Size: r.size}
 	if r.dir == trafficgen.DirForward {
 		_ = d.site.Switch.Transit(r.port, switchsim.DirRx, f)
 		_ = d.site.Switch.Transit(r.peer, switchsim.DirTx, f)
@@ -258,7 +252,6 @@ func (d *TrafficDriver) fire(a any) {
 		_ = d.site.Switch.Transit(r.peer, switchsim.DirRx, f)
 		_ = d.site.Switch.Transit(r.port, switchsim.DirTx, f)
 	}
-	clear(data[:len(r.data)])
 	if r.straggler {
 		r.next = d.spare
 		d.spare = r

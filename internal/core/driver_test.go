@@ -72,8 +72,9 @@ func driverSite(t *testing.T) (*sim.Kernel, *testbed.Site, []string) {
 
 // transit is one observed frame crossing: the mirrored port, the
 // direction mirrored, when the clone left the egress queue, and its
-// bytes. The clone leaves at a fixed function of its transit time, so
-// equal sequences mean equal transits.
+// bytes: the clone's Data extended with zeros to its Size. The clone
+// leaves at a fixed function of its transit time, so equal sequences
+// mean equal transits.
 type transit struct {
 	port string
 	dir  switchsim.Direction
@@ -96,7 +97,11 @@ func observeTransits(t *testing.T, dir switchsim.Direction, window sim.Duration,
 		}
 		p := p
 		site.Switch.Port(egress).SetReceiver(switchsim.ReceiverFunc(func(at sim.Time, f switchsim.Frame) {
-			seen = append(seen, transit{p, dir, at, string(f.Data)})
+			if len(f.Data) > f.Size {
+				t.Fatalf("%s: a frame of %d bytes carries %d bytes of Data", p, f.Size, len(f.Data))
+			}
+			whole := append(append([]byte(nil), f.Data...), make([]byte, f.Size-len(f.Data))...)
+			seen = append(seen, transit{p, dir, at, string(whole)})
 		}))
 	}
 	stop := start(k, site, active)
@@ -111,18 +116,19 @@ func observeTransits(t *testing.T, dir switchsim.Direction, window sim.Duration,
 }
 
 // newCheckedDriver is NewTrafficDriver with every fire followed by a
-// check that the scratch frame is all zero again: a receiver that wrote
-// into the borrowed bytes would otherwise corrupt later frames. The
-// driver's last build is joined when the test ends.
+// check that the frame's stored bytes are unchanged: the switch borrows
+// them for the call, and a consumer that wrote into them would corrupt
+// the frame. The driver's last build is joined when the test ends.
 func newCheckedDriver(t *testing.T, k sim.Scheduler, s *testbed.Site, gen *trafficgen.Generator, ports []string) *TrafficDriver {
 	t.Helper()
 	d := NewTrafficDriver(k, s, gen, ports)
+	var before []byte
 	d.fireFn = func(a any) {
+		r := a.(*driverFrame)
+		before = append(before[:0], r.data...)
 		d.fire(a)
-		for i, c := range d.scratch {
-			if c != 0 {
-				t.Fatalf("scratch byte %d is %#x after a fire", i, c)
-			}
+		if string(r.data) != string(before) {
+			t.Fatalf("a frame's %d stored bytes changed during its fire", len(before))
 		}
 	}
 	t.Cleanup(d.Wait)

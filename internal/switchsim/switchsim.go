@@ -63,8 +63,12 @@ func (r PortRole) String() string {
 	return "downlink"
 }
 
-// Frame is a frame crossing the switch. Data may be nil for rate-only
-// modeling; Size is always authoritative.
+// Frame is a frame crossing the switch. Size is its wire length and is
+// always authoritative. Data holds the frame's first len(Data) bytes, at
+// most Size; the other Size-len(Data) bytes are zero, so a sender may
+// leave off an all-zero tail (zero payload and padding) and a consumer
+// that needs the whole frame extends Data with zeros. Nil Data is a
+// rate-only frame.
 //
 // Data is borrowed: it is valid only for the duration of the Transit or
 // DeliverFrame call that carries it. The caller may overwrite or recycle
@@ -443,6 +447,7 @@ func (s *Switch) cloneLocked(now sim.Time, m *MirrorSession, f Frame) {
 	eg.counters.TxBytes += uint64(f.Size)
 	eg.counters.TxFrames++
 	if r := eg.receiver; r != nil {
+		// The clone copies Data only: the zero tail stays implicit.
 		cd := s.cloneFree
 		if cd == nil {
 			// A non-nil buffer keeps an empty non-nil Data distinct

@@ -102,6 +102,31 @@ func TestTransitBorrowsData(t *testing.T) {
 	}
 }
 
+// TestTransitPrefixFrame: a frame whose Data leaves off its zero tail
+// is mirrored as it is. The receiver gets the same Data and Size, and
+// every counter counts the wire length.
+func TestTransitPrefixFrame(t *testing.T) {
+	sw, k := newTestSwitch(t)
+	var got []Frame
+	sw.Port("P4").SetReceiver(ReceiverFunc(func(_ sim.Time, f Frame) {
+		got = append(got, Frame{Data: bytes.Clone(f.Data), Size: f.Size})
+	}))
+	if _, err := sw.StartMirror("P2", DirRx, "P4"); err != nil {
+		t.Fatal(err)
+	}
+	prefix := bytes.Repeat([]byte{0xAB}, 74)
+	if err := sw.Transit("P2", DirRx, Frame{Data: prefix, Size: 1500}); err != nil {
+		t.Fatal(err)
+	}
+	k.Run()
+	if len(got) != 1 || !bytes.Equal(got[0].Data, prefix) || got[0].Size != 1500 {
+		t.Fatalf("delivered %+v, want the 74-byte prefix of a 1500-byte frame", got)
+	}
+	if rx, tx := sw.Port("P2").Counters().RxBytes, sw.Port("P4").Counters().TxBytes; rx != 1500 || tx != 1500 {
+		t.Errorf("mirrored port Rx %d bytes, egress Tx %d, want 1500 each", rx, tx)
+	}
+}
+
 func TestMirrorSingleDirection(t *testing.T) {
 	sw, k := newTestSwitch(t)
 	n := 0

@@ -2,6 +2,7 @@ package trafficgen
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"net/netip"
 	"slices"
@@ -96,13 +97,30 @@ type Generator struct {
 	// generator emits, so a frame build allocates nothing: each build
 	// reinitializes the structs it needs by whole-struct assignment.
 	ls layerScratch
-	// ctrl is the pooled packet BuildTCPControl patches flags through.
-	ctrl wire.Packet
 	// labels is the MPLS stack SampleInto's current flow borrows.
 	labels []uint32
 	// prefix is the length of the last built frame up to its all-zero
 	// tail (zero payload and minimum-frame padding).
 	prefix int
+
+	// tmpl is the current TCP flow's header stack per on-wire direction
+	// (indexed by Dir), empty until sample builds that direction's first
+	// frame and again at every new flow.
+	tmpl [2]tcpTemplate
+	// frame holds the last frame built from a template. Its bytes from
+	// dirty on are zero, so the next one clears only what this one wrote.
+	frame []byte
+	dirty int
+}
+
+// tcpTemplate is one direction of a TCP flow's frames from the Ethernet
+// header through the TCP header, as the layered serializer wrote them.
+// Within a flow and direction only the IP length and ID and the TCP seq,
+// ack and flags vary.
+type tcpTemplate struct {
+	hdr   []byte // stackOverhead+20 bytes
+	ipOff int    // offset of the IP header in hdr
+	v6    bool
 }
 
 // layerScratch pools serialization state. Fields with two instances
@@ -413,19 +431,28 @@ func (g *Generator) buildFrameRaw(fs *FlowSpec, dir Dir, wireSize int) ([]byte, 
 			payLen := clampPayload(wireSize-overhead-20, 1)
 			switch fs.Kind {
 			case KindTLS:
-				ls.tls = wire.TLS{RecordType: wire.TLSApplicationData, Version: 0x0303}
+				ls.tls = wire.TLS{RecordType: wire.TLSApplicationData, Version: tlsVersion}
 				layers = append(layers, &ls.tls)
 				layers = append(layers, ls.payload(clampPayload(payLen-5, 1)))
-			case KindSSH:
-				layers = append(layers, ls.bannerPayload(payLen, "SSH-2.0-OpenSSH_9.6\r\n"))
-			case KindHTTP:
-				layers = append(layers, ls.bannerPayload(payLen, "GET /data HTTP/1.1\r\nHost: x\r\n\r\n"))
+			case KindSSH, KindHTTP:
+				layers = append(layers, ls.bannerPayload(payLen, banner(fs.Kind)))
 			default:
 				layers = append(layers, ls.payload(payLen))
 			}
 		}
 	}
 	return g.serializeRaw(layers)
+}
+
+// tlsVersion is the record-layer version of TLS data frames (TLS 1.2).
+const tlsVersion = 0x0303
+
+// banner is the text an SSH or HTTP data frame's payload starts with.
+func banner(k Kind) string {
+	if k == KindSSH {
+		return "SSH-2.0-OpenSSH_9.6\r\n"
+	}
+	return "GET /data HTTP/1.1\r\nHost: x\r\n\r\n"
 }
 
 // dnsHostNames are the query names DNS flows draw from, built once so a
@@ -568,6 +595,8 @@ func (g *Generator) sample(cfg SampleConfig, frames []TimedFrame, clone func([]b
 		// The spec lives only for this iteration: recycle its labels.
 		fs := g.newFlow(g.labels)
 		g.labels = fs.MPLSLabels
+		g.tmpl[DirForward].hdr = g.tmpl[DirForward].hdr[:0]
+		g.tmpl[DirReverse].hdr = g.tmpl[DirReverse].hdr[:0]
 		var nData int
 		switch {
 		case scanMode:
@@ -589,14 +618,14 @@ func (g *Generator) sample(cfg SampleConfig, frames []TimedFrame, clone func([]b
 		// Flows that begin inside the window show their handshake.
 		flowStart := sim.Time(g.r.Int63n(int64(cfg.Duration)))
 		if isTCPKind(fs.Kind) && !scanMode && g.r.Bool(0.35) && framesLeft >= 2 {
-			raw, err := g.buildTCPControlRaw(&fs, DirForward, wire.TCPSyn)
+			raw, err := g.tcpSegment(&fs, DirForward, wire.TCPSyn)
 			if err != nil {
 				return nil, err
 			}
-			// The raw bytes alias the serialize buffer: stabilize each
+			// The raw bytes alias the generator's buffers: stabilize each
 			// frame before the next build overwrites it.
 			syn, synSize := g.keep(raw, clone, prefixes), int32(len(raw))
-			raw, err = g.buildTCPControlRaw(&fs, DirReverse, wire.TCPSyn|wire.TCPAck)
+			raw, err = g.tcpSegment(&fs, DirReverse, wire.TCPSyn|wire.TCPAck)
 			if err != nil {
 				return nil, err
 			}
@@ -614,10 +643,13 @@ func (g *Generator) sample(cfg SampleConfig, frames []TimedFrame, clone func([]b
 			}
 			var raw []byte
 			var err error
-			if scanMode && isTCPKind(fs.Kind) {
+			switch {
+			case scanMode && isTCPKind(fs.Kind):
 				// Port-scan probes are bare SYNs.
-				raw, err = g.buildTCPControlRaw(&fs, DirForward, wire.TCPSyn)
-			} else {
+				raw, err = g.tcpSegment(&fs, DirForward, wire.TCPSyn)
+			case isTCPKind(fs.Kind):
+				raw, err = g.tcpData(&fs, size)
+			default:
 				raw, err = g.buildFrameRaw(&fs, DirForward, size)
 			}
 			if err != nil {
@@ -634,9 +666,8 @@ func (g *Generator) sample(cfg SampleConfig, frames []TimedFrame, clone func([]b
 			// Bulk TCP flows generate a reverse ACK for roughly every
 			// fourth data frame (delayed ACKs plus receive coalescing) —
 			// the source of the 65-127B frame class.
-			if (fs.Kind == KindBulkTCP || fs.Kind == KindTLS || fs.Kind == KindHTTP || fs.Kind == KindSSH) &&
-				!scanMode && j%4 == 3 && framesLeft > 0 {
-				raw, err := g.buildFrameRaw(&fs, DirReverse, 0)
+			if isTCPKind(fs.Kind) && !scanMode && j%4 == 3 && framesLeft > 0 {
+				raw, err := g.tcpSegment(&fs, DirReverse, wire.TCPAck)
 				if err != nil {
 					return nil, err
 				}
@@ -664,7 +695,7 @@ func (g *Generator) sample(cfg SampleConfig, frames []TimedFrame, clone func([]b
 		if isTCPKind(fs.Kind) && !scanMode && framesLeft > 0 {
 			switch {
 			case g.r.Bool(0.02):
-				raw, err := g.buildTCPControlRaw(&fs, DirForward, wire.TCPRst)
+				raw, err := g.tcpSegment(&fs, DirForward, wire.TCPRst)
 				if err != nil {
 					return nil, err
 				}
@@ -673,7 +704,7 @@ func (g *Generator) sample(cfg SampleConfig, frames []TimedFrame, clone func([]b
 				totalBytes += int64(len(raw))
 				framesLeft--
 			case g.r.Bool(0.3):
-				raw, err := g.buildTCPControlRaw(&fs, DirForward, wire.TCPFin|wire.TCPAck)
+				raw, err := g.tcpSegment(&fs, DirForward, wire.TCPFin|wire.TCPAck)
 				if err != nil {
 					return nil, err
 				}
@@ -737,12 +768,102 @@ func (g *Generator) buildTCPControlRaw(fs *FlowSpec, dir Dir, flags wire.TCPFlag
 	if err != nil {
 		return nil, err
 	}
-	g.ctrl.Reset(data, wire.LayerTypeEthernet, wire.NoCopy)
-	tl, ok := g.ctrl.TransportLayer().(*wire.TCP)
-	if !ok {
-		return nil, fmt.Errorf("trafficgen: control frame lost its TCP header")
-	}
-	// LayerContents aliases data under NoCopy: patch the flag byte.
-	tl.LayerContents()[13] = uint8(flags)
+	// The TCP header starts where the encapsulation ends; byte 13 is its
+	// flags.
+	data[stackOverhead(&spec)+13] = uint8(flags)
 	return data, nil
+}
+
+// tcpSegment builds a payload-free segment (SYN, SYN-ACK, ACK, FIN or
+// RST) of sample's current TCP flow travelling in direction dir, on the
+// borrowed buffers. The flow's first frame in a direction goes through
+// the layered serializer and becomes that direction's template.
+func (g *Generator) tcpSegment(fs *FlowSpec, dir Dir, flags wire.TCPFlags) ([]byte, error) {
+	t := &g.tmpl[dir]
+	if len(t.hdr) == 0 {
+		raw, err := g.buildTCPControlRaw(fs, dir, flags)
+		if err != nil {
+			return nil, err
+		}
+		t.set(fs, raw)
+		return raw, nil
+	}
+	return g.fromTemplate(t, flags, 0, 0), nil
+}
+
+// tcpData builds a forward data frame of sample's current TCP flow, as
+// buildFrameRaw would, from the forward template once there is one.
+func (g *Generator) tcpData(fs *FlowSpec, wireSize int) ([]byte, error) {
+	t := &g.tmpl[DirForward]
+	if len(t.hdr) == 0 {
+		raw, err := g.buildFrameRaw(fs, DirForward, wireSize)
+		if err != nil {
+			return nil, err
+		}
+		t.set(fs, raw)
+		return raw, nil
+	}
+	const pshAck = wire.TCPPsh | wire.TCPAck
+	payLen := clampPayload(wireSize-len(t.hdr), 1)
+	switch fs.Kind {
+	case KindTLS:
+		n := clampPayload(payLen-5, 1)
+		f := g.fromTemplate(t, pshAck, 5+n, 5)
+		rec := f[len(t.hdr):]
+		rec[0] = uint8(wire.TLSApplicationData)
+		binary.BigEndian.PutUint16(rec[1:3], tlsVersion)
+		binary.BigEndian.PutUint16(rec[3:5], uint16(n))
+		return f, nil
+	case KindSSH, KindHTTP:
+		text := banner(fs.Kind)
+		n := min(payLen, len(text))
+		f := g.fromTemplate(t, pshAck, payLen, n)
+		copy(f[len(t.hdr):], text[:n])
+		return f, nil
+	default:
+		return g.fromTemplate(t, pshAck, payLen, 0), nil
+	}
+}
+
+// set makes the first stackOverhead+20 bytes of raw, a frame of fs
+// built by the layered serializer, the template.
+func (t *tcpTemplate) set(fs *FlowSpec, raw []byte) {
+	n := stackOverhead(fs)
+	t.hdr = append(t.hdr[:0], raw[:n+wire.TCPHeaderLen]...)
+	t.v6 = fs.IPv6
+	t.ipOff = n - wire.IPv4HeaderLen
+	if fs.IPv6 {
+		t.ipOff = n - wire.IPv6HeaderLen
+	}
+}
+
+// fromTemplate builds a frame of t's flow and direction into g.frame and
+// returns it: t's headers with the IP length (and IPv4 ID) and the TCP
+// seq, ack and flags written, then a payload of app bytes, padded to
+// the minimum frame. The payload is zero except for its first head
+// bytes, which the caller writes. It draws from the rng as the layered
+// serializer does: the IPv4 ID, then seq, then ack.
+func (g *Generator) fromTemplate(t *tcpTemplate, flags wire.TCPFlags, app, head int) []byte {
+	hl := len(t.hdr)
+	n := max(hl+app, wire.EthernetMinFrame-4)
+	g.prefix = hl + head
+	if len(g.frame) < n {
+		g.frame = make([]byte, max(n, wire.EthernetJumboMax))
+	} else if g.dirty > g.prefix {
+		clear(g.frame[g.prefix:g.dirty])
+	}
+	g.dirty = g.prefix
+	f := g.frame[:n]
+	copy(f, t.hdr)
+	ip, tcp := f[t.ipOff:], f[hl-wire.TCPHeaderLen:]
+	if t.v6 {
+		binary.BigEndian.PutUint16(ip[4:6], uint16(wire.TCPHeaderLen+app))
+	} else {
+		binary.BigEndian.PutUint16(ip[2:4], uint16(wire.IPv4HeaderLen+wire.TCPHeaderLen+app))
+		binary.BigEndian.PutUint16(ip[4:6], uint16(g.r.Intn(1<<16)))
+	}
+	binary.BigEndian.PutUint32(tcp[4:8], uint32(g.r.Intn(1<<30)))
+	binary.BigEndian.PutUint32(tcp[8:12], uint32(g.r.Intn(1<<30)))
+	tcp[13] = uint8(flags)
+	return f
 }

@@ -162,6 +162,65 @@ func TestRandomStackChecksumsValidate(t *testing.T) {
 	}
 }
 
+// TestNestedStackChecksumsUseNearestIP: with ComputeChecksums, every
+// transport checksum validates under the pseudo-header of its nearest
+// enclosing IP header, in a VXLAN stack (an outer and an inner IPv4/UDP)
+// and in an IPv6/TCP stack.
+func TestNestedStackChecksumsUseNearestIP(t *testing.T) {
+	vxlan := []SerializableLayer{
+		&Ethernet{SrcMAC: MAC{2, 0, 0, 0, 0, 1}, DstMAC: MAC{2, 0, 0, 0, 0, 2}, EthernetType: EthernetTypeIPv4},
+		&IPv4{TTL: 64, Protocol: IPProtocolUDP, SrcIP: netip.MustParseAddr("10.0.0.1"), DstIP: netip.MustParseAddr("10.0.0.2")},
+		&UDP{SrcPort: 40000, DstPort: 4789},
+		&VXLAN{ValidIDFlag: true, VNI: 77},
+		&Ethernet{SrcMAC: MAC{2, 0, 0, 0, 1, 1}, DstMAC: MAC{2, 0, 0, 0, 1, 2}, EthernetType: EthernetTypeIPv4},
+		&IPv4{TTL: 60, Protocol: IPProtocolUDP, SrcIP: netip.MustParseAddr("172.16.9.1"), DstIP: netip.MustParseAddr("172.16.9.2")},
+		&UDP{SrcPort: 7000, DstPort: 7001},
+		&Payload{1, 2, 3, 4, 5},
+	}
+	v6 := []SerializableLayer{
+		&Ethernet{SrcMAC: MAC{2, 0, 0, 0, 0, 1}, DstMAC: MAC{2, 0, 0, 0, 0, 2}, EthernetType: EthernetTypeIPv6},
+		&IPv6{NextHeader: IPProtocolTCP, HopLimit: 64, SrcIP: netip.MustParseAddr("2001:db8::1"), DstIP: netip.MustParseAddr("2001:db8::2")},
+		&TCP{SrcPort: 40001, DstPort: 5201, Seq: 7, Ack: 9, Flags: TCPPsh | TCPAck, Window: 65535},
+		&Payload{9, 8, 7},
+	}
+	for _, tc := range []struct {
+		name   string
+		layers []SerializableLayer
+		want   int // transport checksums to check
+	}{{"vxlan", vxlan, 2}, {"ipv6/tcp", v6, 1}} {
+		buf := NewSerializeBuffer()
+		if err := SerializeLayers(buf, SerializeOptions{FixLengths: true, ComputeChecksums: true}, tc.layers...); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		checked := 0
+		for _, l := range NewPacket(buf.Bytes(), LayerTypeEthernet, Default).Layers() {
+			var proto IPProtocol
+			var seg []byte
+			var sum uint32
+			switch ip := l.(type) {
+			case *IPv4:
+				if internetChecksum(ip.LayerContents(), 0) != 0 {
+					t.Errorf("%s: IPv4 %v header checksum invalid", tc.name, ip.SrcIP)
+				}
+				proto, seg = ip.Protocol, ip.LayerPayload()
+				sum = ip.pseudoHeaderChecksum(proto, len(seg))
+			case *IPv6:
+				proto, seg = ip.NextHeader, ip.LayerPayload()
+				sum = ip.pseudoHeaderChecksum(proto, len(seg))
+			default:
+				continue
+			}
+			if internetChecksum(seg, sum) != 0 {
+				t.Errorf("%s: %v checksum under %v's pseudo-header invalid", tc.name, proto, l.LayerType())
+			}
+			checked++
+		}
+		if checked != tc.want {
+			t.Errorf("%s: checked %d transport checksums, want %d", tc.name, checked, tc.want)
+		}
+	}
+}
+
 // TestDecodeNeverPanics: arbitrary bytes must never panic the decoder,
 // whatever garbage the capture hands it.
 func TestDecodeNeverPanics(t *testing.T) {

@@ -115,13 +115,16 @@ func SerializeLayers(b *SerializeBuffer, opts SerializeOptions, layers ...Serial
 	b.Clear()
 	b.opts = opts
 	// Serialize back-to-front. Before serializing each layer, point the
-	// checksum context at the closest network layer above it.
+	// checksum context at the closest network layer above it; only the
+	// checksum code reads it.
 	for i := len(layers) - 1; i >= 0; i-- {
-		b.netForChecksum = nil
-		for j := i - 1; j >= 0; j-- {
-			if n, ok := layers[j].(networkForChecksum); ok {
-				b.netForChecksum = n
-				break
+		if opts.ComputeChecksums {
+			b.netForChecksum = nil
+			for j := i - 1; j >= 0; j-- {
+				if n, ok := layers[j].(networkForChecksum); ok {
+					b.netForChecksum = n
+					break
+				}
 			}
 		}
 		if err := layers[i].SerializeTo(b); err != nil {

@@ -11,8 +11,10 @@
 # enough to catch regressions in the option/length walkers — plus the
 # flow-store segment codec, the sketch merge operators, the sim
 # kernel's FIFO-stream-vs-AtArg differential, the crcline frame codec
-# shared by the WAL, the ring and provenance traces, and the fault and
-# storage-fault plan parsers behind -faults and -store-chaos), a
+# shared by the WAL, the ring and provenance traces, the fault and
+# storage-fault plan parsers behind -faults and -store-chaos, and the
+# traffic generator's per-flow TCP header templates against its layered
+# serializer), a
 # harvest scheduling gate (bundles compressed on worker goroutines must
 # be byte-identical at GOMAXPROCS 1 and 4, capture chunks recycled
 # through the coordinator's free list must hold only their new stream's
@@ -87,6 +89,7 @@ go test -run='^$' -fuzz='^FuzzScan$' -fuzztime=5s ./internal/crcline
 go test -run='^$' -fuzz='^FuzzFIFOMatchesAtArg$' -fuzztime=5s ./internal/sim
 go test -run='^$' -fuzz='^FuzzParsePlan$' -fuzztime=5s ./internal/faults
 go test -run='^$' -fuzz='^FuzzParsePlan$' -fuzztime=5s ./internal/storefault
+go test -run='^$' -fuzz='^FuzzTemplatesMatchLayered$' -fuzztime=5s ./internal/trafficgen
 
 # Harvest scheduling gate: pcaps are compressed off the simulation
 # goroutine, so every bundle must be the same however the workers are
