@@ -22,10 +22,13 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
+	"sort"
 	"strings"
 	"syscall"
 
@@ -40,7 +43,7 @@ func main() {
 		in      = flag.String("in", "", "input directory (site subdirectories of pcaps)")
 		out     = flag.String("out", "analysis-out", "output directory for acaps, index, CSVs, and flow store")
 		hotMax  = flag.Int("hotflows", 1<<16, "max in-memory flows before spilling to the flow store")
-		verbose = flag.Bool("v", false, "print sketch summaries (cardinality estimate, heavy hitters)")
+		verbose = flag.Bool("v", false, "also print the rows spilled to the flow store and the 10 flows with the most frames")
 		serve   = flag.String("serve", "", `after analysis, serve the flow store on this address (":0" for an ephemeral port; bound address lands in <out>/livemon/addr) until SIGINT/SIGTERM`)
 	)
 	flag.Parse()
@@ -48,7 +51,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	torn, err := run(*in, *out, *hotMax, *verbose)
+	torn, err := run(*in, *out, *hotMax, *verbose, os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "pwanalyze:", err)
 		os.Exit(1)
@@ -97,10 +100,11 @@ func serveFlows(out, addr string) error {
 	return srv.Close()
 }
 
-// run executes the pipeline and returns the capture paths whose pcap
-// stream ended in a torn tail (analysis proceeds over the intact
-// prefix; the caller surfaces the integrity warning).
-func run(in, out string, hotMax int, verbose bool) (torn []string, err error) {
+// run executes the pipeline, writes its summary to stdout, and returns
+// the capture paths whose pcap stream ended in a torn tail (analysis
+// proceeds over the intact prefix; the caller surfaces the integrity
+// warning).
+func run(in, out string, hotMax int, verbose bool, stdout io.Writer) (torn []string, err error) {
 	acapDir := filepath.Join(out, "acaps")
 	if err := os.MkdirAll(acapDir, 0o755); err != nil {
 		return nil, err
@@ -252,15 +256,21 @@ func run(in, out string, hotMax int, verbose bool) (torn []string, err error) {
 		}
 	}
 
-	fmt.Printf("digested %d captures (%d frames, %d flows) into %s\n",
+	fmt.Fprintf(stdout, "digested %d captures (%d frames, %d flows) into %s\n",
 		captures, d.Frames(), len(flows), out)
 	if verbose {
-		est, stderr := d.Flows().CardinalityEstimate()
-		fmt.Printf("  distinct flows ~%d (±%.1f%%), %d spilled rows in %s\n",
-			est, stderr*100, d.Flows().SpilledFlows(), flowPath)
-		for _, h := range d.Flows().HeavyHitters(10) {
-			fmt.Printf("  heavy: %v frames>=%d (overestimate<=%d)\n", h.Key, h.Count-h.Err, h.Err)
+		fmt.Fprintf(stdout, "  %d spilled rows in %s\n", d.Flows().SpilledFlows(), flowPath)
+		for _, f := range topFlows(flows, 10) {
+			fmt.Fprintf(stdout, "  top: %v frames=%d bytes=%d\n", f.Key, f.Frames, f.Bytes)
 		}
 	}
 	return torn, nil
+}
+
+// topFlows returns the n flows with the most frames, exact, from the
+// aggregates; flows with equal frames keep their aggregate order.
+func topFlows(flows []analysis.FlowAggregate, n int) []analysis.FlowAggregate {
+	top := slices.Clone(flows)
+	sort.SliceStable(top, func(i, j int) bool { return top[i].Frames > top[j].Frames })
+	return top[:min(n, len(top))]
 }

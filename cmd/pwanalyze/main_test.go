@@ -5,10 +5,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -78,8 +80,17 @@ func writeCorpusFlows(t *testing.T, seed uint64, sites, samples, frames, flows i
 // the CSVs by file name.
 func baselineCSVs(t *testing.T, in string) map[string][]byte {
 	t.Helper()
-	var acaps []*analysis.Acap
-	var rawFrames [][]byte
+	out, err := analysistest.CSVs(materialize(t, in))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// materialize digests every capture under in, in the order run does,
+// into one acap each, and returns them with every raw frame.
+func materialize(t *testing.T, in string) (acaps []*analysis.Acap, rawFrames [][]byte) {
+	t.Helper()
 	err := filepath.WalkDir(in, func(path string, de fs.DirEntry, err error) error {
 		if err != nil || de.IsDir() || !strings.HasSuffix(path, ".pcap") {
 			return err
@@ -109,11 +120,7 @@ func baselineCSVs(t *testing.T, in string) map[string][]byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := analysistest.CSVs(acaps, rawFrames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
+	return acaps, rawFrames
 }
 
 // TestRunMatchesInMemoryPipeline is the end-to-end equivalence gate for
@@ -123,7 +130,7 @@ func baselineCSVs(t *testing.T, in string) map[string][]byte {
 func TestRunMatchesInMemoryPipeline(t *testing.T) {
 	in := writeCorpus(t, 21, 2, 2, 800)
 	out := t.TempDir()
-	torn, err := run(in, out, 64, false)
+	torn, err := run(in, out, 64, false, io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,6 +180,39 @@ func TestRunMatchesInMemoryPipeline(t *testing.T) {
 	}
 	if !bytes.Equal(b.Bytes(), want["flow_aggregate.csv"]) {
 		t.Error("aggregates from the flow store alone differ from the baseline")
+	}
+}
+
+// TestVerboseSummaryExact: with a hot-flow cap low enough that flows
+// spill and re-enter, -v's summary is exact. The flow count is the
+// materialized pipeline's, and the top flows are its aggregates, stably
+// sorted by frames, with their exact frame and byte counts.
+func TestVerboseSummaryExact(t *testing.T) {
+	in := writeCorpus(t, 21, 2, 2, 800)
+	out := t.TempDir()
+	var stdout bytes.Buffer
+	if _, err := run(in, out, 64, true, &stdout); err != nil {
+		t.Fatal(err)
+	}
+
+	acaps, raw := materialize(t, in)
+	flows := analysistest.AggregateFlows(acaps)
+	store, err := flowstore.Open(filepath.Join(out, "flows.pwfs"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	if store.Rows() <= int64(len(flows)) {
+		t.Fatalf("%d rows for %d flows: no flow spilled twice", store.Rows(), len(flows))
+	}
+	sort.SliceStable(flows, func(i, j int) bool { return flows[i].Frames > flows[j].Frames })
+	want := fmt.Sprintf("digested %d captures (%d frames, %d flows) into %s\n", len(acaps), len(raw), len(flows), out)
+	want += fmt.Sprintf("  %d spilled rows in %s\n", store.Rows(), filepath.Join(out, "flows.pwfs"))
+	for _, f := range flows[:10] {
+		want += fmt.Sprintf("  top: %v frames=%d bytes=%d\n", f.Key, f.Frames, f.Bytes)
+	}
+	if got := stdout.String(); got != want {
+		t.Errorf("-v printed\n%s\nwant\n%s", got, want)
 	}
 }
 
@@ -232,7 +272,7 @@ func TestAcapMatchesDigest(t *testing.T) {
 	}
 
 	out := t.TempDir()
-	if _, err := run(in, out, 64, false); err != nil {
+	if _, err := run(in, out, 64, false, io.Discard); err != nil {
 		t.Fatal(err)
 	}
 	paths = capturePaths(t, in)
@@ -273,7 +313,7 @@ func TestTornCaptureSurfaced(t *testing.T) {
 	tornPath := capturePaths(t, in)[0]
 	tear(t, tornPath)
 
-	torn, err := run(in, t.TempDir(), 64, false)
+	torn, err := run(in, t.TempDir(), 64, false, io.Discard)
 	if err != nil {
 		t.Fatalf("torn capture failed the run instead of being surfaced: %v", err)
 	}
@@ -344,7 +384,7 @@ func TestOutputIndependentOfGOMAXPROCS(t *testing.T) {
 	var trees []map[string][]byte
 	for _, n := range procs {
 		runtime.GOMAXPROCS(n)
-		torn, err := run(in, out, 64, false)
+		torn, err := run(in, out, 64, false, io.Discard)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -458,7 +498,7 @@ func TestAcapWriteFailureJoinsWriter(t *testing.T) {
 		t.Run(fmt.Sprintf("acap-%d", capture), func(t *testing.T) {
 			out := t.TempDir()
 			failWrites(t, acapPath(out, paths, capture))
-			_, err := run(in, out, 64, false)
+			_, err := run(in, out, 64, false, io.Discard)
 			if !errors.Is(err, syscall.ENOSPC) {
 				t.Fatalf("run returned %v, want the acap's ENOSPC", err)
 			}
@@ -489,7 +529,7 @@ func TestAcapWriteFailureJoinsWriter(t *testing.T) {
 			t.Fatal(err)
 		}
 		out := t.TempDir()
-		if _, err := run(in, out, 64, false); err == nil || !strings.Contains(err.Error(), "exceeds snap length") {
+		if _, err := run(in, out, 64, false, io.Discard); err == nil || !strings.Contains(err.Error(), "exceeds snap length") {
 			t.Fatalf("run returned %v, want the walk's read error", err)
 		}
 		requireStagesJoined(t, out)
@@ -515,7 +555,7 @@ func TestSpillFailureFailsRun(t *testing.T) {
 	in, paths := storeFailureCorpus(t)
 	out := t.TempDir()
 	failWrites(t, filepath.Join(out, "flows.pwfs"))
-	_, err := run(in, out, storeFailureHot, false)
+	_, err := run(in, out, storeFailureHot, false, io.Discard)
 	if !isStoreFailure(err) {
 		t.Fatalf("run returned %v, want the flow store's ENOSPC", err)
 	}
@@ -539,7 +579,7 @@ func TestEarlierBatchFailureWins(t *testing.T) {
 	// last capture with an acap, or the one after it.
 	out := t.TempDir()
 	failWrites(t, filepath.Join(out, "flows.pwfs"))
-	if _, err := run(in, out, storeFailureHot, false); !isStoreFailure(err) {
+	if _, err := run(in, out, storeFailureHot, false, io.Discard); !isStoreFailure(err) {
 		t.Fatalf("run returned %v, want the flow store's ENOSPC", err)
 	}
 	requireStagesJoined(t, out)
@@ -563,7 +603,7 @@ func TestEarlierBatchFailureWins(t *testing.T) {
 			failWrites(t, filepath.Join(out, "flows.pwfs"))
 			acap := acapPath(out, paths, tc.capture)
 			failWrites(t, acap)
-			_, err := run(in, out, storeFailureHot, false)
+			_, err := run(in, out, storeFailureHot, false, io.Discard)
 			var pe *fs.PathError
 			acapFailed := errors.As(err, &pe) && pe.Path == acap && errors.Is(err, syscall.ENOSPC)
 			switch {

@@ -183,13 +183,13 @@ func TestAcapEncodeReportsWriteError(t *testing.T) {
 }
 
 // TestFrameRecordAllocFree: once its maps and buffers have grown, the
-// digester's per-frame path — every statistic, the flow table, the
-// sketches (heavy-hitter eviction included) — plus encoding the frame's
-// record allocates nothing beyond what the wire decode itself does. The
-// pooled decode still allocates for DNS question names and for
-// truncation errors; the bare decode of the same frames measures that.
-// Both measurements average 30 passes, so a few allocations outside the
-// measured code that land in the window do not move the integer count.
+// digester's per-frame path — every statistic and the flow table — plus
+// encoding the frame's record allocates nothing beyond what the wire
+// decode itself does. The pooled decode still allocates for DNS
+// question names and for truncation errors; the bare decode of the same
+// frames measures that. Both measurements average 30 passes, so a few
+// allocations outside the measured code that land in the window do not
+// move the integer count.
 func TestFrameRecordAllocFree(t *testing.T) {
 	corpus := equivCorpus(t, 11, 2, 1, 600)
 	hostileMutate(corpus)
@@ -204,8 +204,6 @@ func TestFrameRecordAllocFree(t *testing.T) {
 		}
 	})
 
-	// The corpus holds far more flows than the heavy-hitter summary has
-	// slots, so Add evicts.
 	d := NewDigester(DigestOptions{})
 	d.StartSample("S")
 	var enc AcapEncoder
@@ -221,9 +219,6 @@ func TestFrameRecordAllocFree(t *testing.T) {
 		}
 	}
 	pass()
-	if n := d.Flows().HotFlows(); n <= heavyK {
-		t.Fatalf("%d flows for %d heavy-hitter slots: Add never evicts", n, heavyK)
-	}
 	allocs := testing.AllocsPerRun(30, pass)
 	t.Logf("%d frames: %.0f allocations per pass, %.0f of them in the wire decode", len(frames), allocs, decodeAllocs)
 	if allocs > decodeAllocs {

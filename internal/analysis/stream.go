@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/flowstore"
 	"repro/internal/pcap"
-	"repro/internal/sketch"
 	"repro/internal/wire"
 )
 
@@ -18,11 +17,9 @@ import (
 // pipeline in package analysistest, which folds every record held in
 // memory; the equivalence tests pin that.
 //
-// Memory is bounded three ways: the packet/stack/pattern scratch is
-// reused per frame, the flow table spills its coldest entries to a
-// columnar on-disk flow store when it exceeds the hot budget, and flow
-// cardinality plus heavy hitters are additionally tracked in O(1)
-// sketches (HyperLogLog, space-saving).
+// Memory is bounded two ways: the packet/stack/pattern scratch is
+// reused per frame, and the flow table spills its coldest entries to a
+// columnar on-disk flow store when it exceeds the hot budget.
 
 // DigestOptions configure a Digester.
 type DigestOptions struct {
@@ -32,19 +29,10 @@ type DigestOptions struct {
 	MaxHotFlows int
 	// Spill receives spilled flow rows. With MaxHotFlows > 0 and no
 	// writer, spilled rows are dropped: memory stays bounded and the
-	// sketches keep approximate totals, but Aggregates loses the exact
-	// counts for spilled flows.
+	// per-sample flow counts stay exact, but Aggregates loses the
+	// counts of spilled flows.
 	Spill *flowstore.Writer
 }
-
-// The flow table's sketch sizes.
-const (
-	// hllPrecision is the cardinality sketch's register exponent: about
-	// 0.8% standard error in 16 KiB.
-	hllPrecision = 14
-	// heavyK is the heavy-hitter summary's capacity.
-	heavyK = 64
-)
 
 // Digester folds analysis statistics over a stream of frames grouped
 // into site samples. Not safe for concurrent use.
@@ -330,22 +318,16 @@ type flowEntry struct {
 	firstSeq uint64
 	frames   uint64
 	bytes    uint64
-
-	hash   uint64        // the key's sketch hash
-	heavy  sketch.Handle // the key's heavy-hitter slot
-	sample uint64        // the last sample the flow was seen in
+	sample   uint64 // the last sample the flow was seen in
 }
 
 // FlowTable aggregates per-flow totals with a bounded hot set. Flows
 // beyond the hot budget spill — least-recently-seen first — to a
-// columnar flowstore, from which Aggregates can merge them back. The
-// table also maintains O(1) sketches: a HyperLogLog over distinct keys
-// and a space-saving summary of heavy-hitter flows by frame count.
+// columnar flowstore, from which Aggregates can merge them back.
 //
 // A frame of a hot flow costs one map lookup: its entry carries the
-// sample it was last seen in and a handle on its heavy-hitter slot. The
-// key's hash is computed, the HLL fed and the slot looked up only when
-// the flow enters the hot set.
+// sample it was last seen in, so counting the sample's distinct flows
+// needs no set of its own.
 type FlowTable struct {
 	hot     map[FlowKey]*flowEntry
 	free    []*flowEntry // spilled entries, reused by flows entering
@@ -364,47 +346,8 @@ type FlowTable struct {
 	sampleFlows int
 	spilledIn   map[FlowKey]struct{}
 
-	hll   *sketch.HLL
-	heavy *sketch.TopK[FlowKey]
-
 	scratch []*flowEntry
 	recBuf  []flowstore.Rec
-}
-
-// flowKeyLess orders FlowKeys deterministically (for eviction and
-// heavy-hitter tie-breaks).
-func flowKeyLess(a, b FlowKey) bool {
-	if a.VLANID != b.VLANID {
-		return a.VLANID < b.VLANID
-	}
-	if a.MPLSTop != b.MPLSTop {
-		return a.MPLSTop < b.MPLSTop
-	}
-	ar, br := a.Src.Raw(), b.Src.Raw()
-	for i := 0; i < len(ar) && i < len(br); i++ {
-		if ar[i] != br[i] {
-			return ar[i] < br[i]
-		}
-	}
-	if len(ar) != len(br) {
-		return len(ar) < len(br)
-	}
-	ar, br = a.Dst.Raw(), b.Dst.Raw()
-	for i := 0; i < len(ar) && i < len(br); i++ {
-		if ar[i] != br[i] {
-			return ar[i] < br[i]
-		}
-	}
-	if len(ar) != len(br) {
-		return len(ar) < len(br)
-	}
-	if a.Proto != b.Proto {
-		return a.Proto < b.Proto
-	}
-	if a.SrcPort != b.SrcPort {
-		return a.SrcPort < b.SrcPort
-	}
-	return a.DstPort < b.DstPort
 }
 
 // NewFlowTable builds a table. maxHot <= 0 disables spilling.
@@ -413,16 +356,7 @@ func NewFlowTable(maxHot int, spill *flowstore.Writer) *FlowTable {
 		hot:    make(map[FlowKey]*flowEntry),
 		maxHot: maxHot,
 		spill:  spill,
-		hll:    sketch.NewHLL(hllPrecision),
-		heavy:  sketch.NewTopK[FlowKey](heavyK, flowKeyLess, flowKeyHash),
 	}
-}
-
-// flowKeyHash is the key's sketch hash, over the flowstore's key
-// encoding.
-func flowKeyHash(k FlowKey) uint64 {
-	var buf [64]byte
-	return sketch.Hash64(appendFlowKeyBytes(buf[:0], k))
 }
 
 // StoreKey converts an analysis FlowKey to its flowstore form.
@@ -453,7 +387,6 @@ func (t *FlowTable) Observe(key FlowKey, tsNanos int64, wireLen int) error {
 		t.sampleFlows++
 	}
 	t.seq++
-	e.heavy = t.heavy.AddAt(e.heavy, key, e.hash, 1)
 	if tsNanos < e.firstNs {
 		e.firstNs = tsNanos
 	}
@@ -471,8 +404,6 @@ func (t *FlowTable) Observe(key FlowKey, tsNanos int64, wireLen int) error {
 }
 
 // enter adds key to the hot set, in a recycled entry when one is free.
-// The key's hash feeds the HLL here, which is as good as feeding it
-// every frame: re-adding a hash changes no register.
 func (t *FlowTable) enter(key FlowKey, tsNanos int64) *flowEntry {
 	var e *flowEntry
 	if n := len(t.free); n > 0 {
@@ -480,11 +411,9 @@ func (t *FlowTable) enter(key FlowKey, tsNanos int64) *flowEntry {
 	} else {
 		e = new(flowEntry)
 	}
-	h := flowKeyHash(key)
-	t.hll.AddHash(h)
 	*e = flowEntry{
-		key: key, site: t.site, firstNs: tsNanos, lastNs: tsNanos, firstSeq: t.seq,
-		hash: h, heavy: t.heavy.Find(key, h), sample: t.sample,
+		key: key, site: t.site, firstNs: tsNanos, lastNs: tsNanos,
+		firstSeq: t.seq, sample: t.sample,
 	}
 	if _, counted := t.spilledIn[key]; !counted {
 		t.sampleFlows++
@@ -507,18 +436,6 @@ func (t *FlowTable) endSample() int {
 	t.inSample = false
 	clear(t.spilledIn)
 	return t.sampleFlows
-}
-
-// appendFlowKeyBytes mirrors the flowstore's canonical key encoding so
-// sketch hashes agree between the table and the store.
-func appendFlowKeyBytes(dst []byte, k FlowKey) []byte {
-	dst = append(dst, byte(k.VLANID>>8), byte(k.VLANID),
-		byte(k.MPLSTop>>24), byte(k.MPLSTop>>16), byte(k.MPLSTop>>8), byte(k.MPLSTop),
-		byte(k.Proto), byte(k.SrcPort>>8), byte(k.SrcPort), byte(k.DstPort>>8), byte(k.DstPort),
-		byte(k.Src.Type()), byte(k.Dst.Type()))
-	dst = append(dst, k.Src.Raw()...)
-	dst = append(dst, k.Dst.Raw()...)
-	return dst
 }
 
 // spillColdest moves the least-recently-seen half of the hot set to the
@@ -660,24 +577,9 @@ func (t *FlowTable) Flush() error {
 	return t.spillEntries(t.scratch)
 }
 
-// HotFlows returns the current in-memory flow count.
-func (t *FlowTable) HotFlows() int { return len(t.hot) }
-
 // SpilledFlows returns the number of rows spilled to the store (a flow
 // spilled and re-observed counts once per spill).
 func (t *FlowTable) SpilledFlows() int64 { return t.spilled }
-
-// CardinalityEstimate returns the HLL's distinct-flow estimate and its
-// standard error.
-func (t *FlowTable) CardinalityEstimate() (uint64, float64) {
-	return t.hll.Count(), t.hll.StdError()
-}
-
-// HeavyHitters returns the top-n flows by frame count with
-// overestimation bounds.
-func (t *FlowTable) HeavyHitters(n int) []sketch.HeavyK[FlowKey] {
-	return t.heavy.Top(n)
-}
 
 // Aggregates merges hot and spilled rows into one row per canonical
 // key, ordered by first observation (insertion order), stably re-sorted

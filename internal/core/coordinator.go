@@ -268,20 +268,3 @@ func (c *Coordinator) Run() (*Profile, error) {
 	}
 	return out, outErr
 }
-
-// SortedPortsSampled returns the union of sampled ports across bundles,
-// sorted, for coverage reporting.
-func (p *Profile) SortedPortsSampled() []string {
-	seen := map[string]bool{}
-	for _, b := range p.Bundles {
-		for _, port := range b.PortsSampled {
-			seen[b.Site+"/"+port] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}

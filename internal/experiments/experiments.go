@@ -27,7 +27,7 @@ import (
 // it: they attach an obs.Registry (and, where a kernel drives the run, a
 // tracer) to their substrates and publish both on the Result. Off by
 // default — observability must not perturb the benchmarked hot paths.
-// Set it before calling Run/RunMany/RunAll and leave it fixed while
+// Set it before calling Run or RunMany and leave it fixed while
 // experiments are in flight: workers read it concurrently.
 var Observe bool
 
@@ -174,15 +174,6 @@ func Run(id string, seed uint64) (*Result, error) {
 		return nil, fmt.Errorf("experiments: unknown experiment %q (have %v)", id, IDs())
 	}
 	return fn(seed)
-}
-
-// RunAll executes every experiment, fanning out across up to
-// GOMAXPROCS workers, and returns results in id order. Output is
-// byte-identical to a serial run: every experiment builds its own
-// kernel, RNG stream, and (with Observe) obs registry from the seed, so
-// worker scheduling cannot leak into results.
-func RunAll(seed uint64) ([]*Result, error) {
-	return RunMany(IDs(), seed, 0)
 }
 
 // RunMany executes the given experiments on a bounded worker pool

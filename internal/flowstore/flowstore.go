@@ -28,7 +28,6 @@ import (
 	"io"
 	"sync/atomic"
 
-	"repro/internal/sketch"
 	"repro/internal/storefault"
 	"repro/internal/wire"
 )
@@ -57,6 +56,24 @@ func appendKeyBytes(dst []byte, k Key) []byte {
 	dst = append(dst, k.Src.Raw()...)
 	dst = append(dst, k.Dst.Raw()...)
 	return dst
+}
+
+// hash64 is the bloom filter's key hash: FNV-1a over the bytes,
+// finished with a splitmix64 avalanche so low-entropy keys (sequential
+// IPs, small ports) still spread across the full word. It must never
+// change — the bloom bits of stores already on disk depend on it.
+func hash64(b []byte) uint64 {
+	h := uint64(14695981039346656037)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * 1099511628211
+	}
+	// splitmix64 finalizer
+	h ^= h >> 30
+	h *= 0xbf58476d1ce4e5b9
+	h ^= h >> 27
+	h *= 0x94d049bb133111eb
+	h ^= h >> 31
+	return h
 }
 
 // Rec is one stored flow row: a key plus the totals observed over
@@ -392,7 +409,7 @@ func (w *Writer) Append(site string, recs []Rec) error {
 			m.maxNs = r.LastNs
 		}
 		keyBuf = appendKeyBytes(keyBuf[:0], r.Key)
-		m.filter.add(sketch.Hash64(keyBuf))
+		m.filter.add(hash64(keyBuf))
 	}
 	cols := encodeCols(recs, m.minNs)
 	m.colsLen = uint32(len(cols) + 8) // framed length
@@ -591,7 +608,7 @@ func (s *Store) Scan(q Query, fn func(*Rec) bool) error {
 	var keyHash uint64
 	if q.Key != nil {
 		var kb [64]byte
-		keyHash = sketch.Hash64(appendKeyBytes(kb[:0], *q.Key))
+		keyHash = hash64(appendKeyBytes(kb[:0], *q.Key))
 	}
 	passed := 0
 	for i, m := range s.segs {

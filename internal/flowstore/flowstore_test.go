@@ -2,6 +2,8 @@ package flowstore
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"io"
 	"net/netip"
 	"os"
@@ -670,5 +672,61 @@ func TestCorruptSegmentNotKept(t *testing.T) {
 	}
 	if st.decoded[1].Load() != nil {
 		t.Error("the corrupt segment's failed decode was kept")
+	}
+}
+
+func TestHash64Avalanche(t *testing.T) {
+	// Sequential inputs must not collide in either half of the word
+	// (the bloom filter derives its probes from both halves).
+	seenHi, seenLo := map[uint32]bool{}, map[uint32]bool{}
+	var buf [8]byte
+	for i := 0; i < 10000; i++ {
+		binary.LittleEndian.PutUint64(buf[:], uint64(i))
+		h := hash64(buf[:])
+		seenHi[uint32(h>>32)] = true
+		seenLo[uint32(h)] = true
+	}
+	if len(seenHi) < 9990 || len(seenLo) < 9990 {
+		t.Errorf("32-bit collisions: %d distinct top halves, %d distinct bottom halves of 10000", len(seenHi), len(seenLo))
+	}
+}
+
+// TestHash64Golden pins the bloom hash and the key encoding it hashes to
+// the values the stores already on disk were written with: a change to
+// either would make key queries skip segments that hold the key.
+func TestHash64Golden(t *testing.T) {
+	v4 := Key{
+		VLANID: 100, MPLSTop: 16001,
+		Src:   wire.NewIPEndpoint(netip.MustParseAddr("10.0.1.1")),
+		Dst:   wire.NewIPEndpoint(netip.MustParseAddr("10.0.2.2")),
+		Proto: wire.LayerTypeTCP, SrcPort: 51000, DstPort: 443,
+	}
+	v6 := Key{
+		Src:   wire.NewIPEndpoint(netip.MustParseAddr("2001:db8::1")),
+		Dst:   wire.NewIPEndpoint(netip.MustParseAddr("2001:db8::2")),
+		Proto: wire.LayerTypeUDP, SrcPort: 5353, DstPort: 53,
+	}
+	for _, c := range []struct {
+		name    string
+		in      []byte
+		encoded string // the key encoding, hex; empty for a raw input
+		hash    uint64
+	}{
+		{"empty", nil, "", 0xf52a15e9a9b5e89b},
+		{"abc", []byte("abc"), "", 0x0dd490490804b508},
+		{"zero key", appendKeyBytes(nil, Key{}), "00000000000000000000000000", 0x926bd52cd2f5c560},
+		{"IPv4 key", appendKeyBytes(nil, v4), "006400003e8109c73801bb02020a0001010a000202", 0x889562c74319d2aa},
+		{"IPv6 key", appendKeyBytes(nil, v6),
+			"0000000000000a14e90035030320010db800000000000000000000000120010db8000000000000000000000002",
+			0x8302f41efd5b5bce},
+	} {
+		if c.encoded != "" {
+			if got := hex.EncodeToString(c.in); got != c.encoded {
+				t.Errorf("%s: encoded %s, want %s", c.name, got, c.encoded)
+			}
+		}
+		if got := hash64(c.in); got != c.hash {
+			t.Errorf("%s: hash64 %#016x, want %#016x", c.name, got, c.hash)
+		}
 	}
 }

@@ -153,11 +153,6 @@ func (ip *IPv4) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// NetworkFlow returns the src->dst IP flow.
-func (ip *IPv4) NetworkFlow() Flow {
-	return NewFlow(NewIPEndpoint(ip.SrcIP), NewIPEndpoint(ip.DstIP))
-}
-
 // SerializeTo prepends the IPv4 header. When opts fix lengths and
 // checksums, the Length and Checksum fields are computed from the buffer.
 func (ip *IPv4) SerializeTo(b *SerializeBuffer) error {
@@ -262,11 +257,6 @@ func (ip *IPv6) DecodeFromBytes(data []byte) error {
 	}
 	ip.payload = data[IPv6HeaderLen:end]
 	return nil
-}
-
-// NetworkFlow returns the src->dst IP flow.
-func (ip *IPv6) NetworkFlow() Flow {
-	return NewFlow(NewIPEndpoint(ip.SrcIP), NewIPEndpoint(ip.DstIP))
 }
 
 // SerializeTo prepends the IPv6 header.

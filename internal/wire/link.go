@@ -123,11 +123,6 @@ func (e *Ethernet) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// LinkFlow returns the src->dst MAC flow.
-func (e *Ethernet) LinkFlow() Flow {
-	return NewFlow(NewMACEndpoint(e.SrcMAC), NewMACEndpoint(e.DstMAC))
-}
-
 // SerializeTo prepends the Ethernet header.
 func (e *Ethernet) SerializeTo(b *SerializeBuffer) error {
 	bytes, err := b.PrependBytes(EthernetHeaderLen)

@@ -162,11 +162,6 @@ func (t *TCP) DecodeFromBytes(data []byte) error {
 	return nil
 }
 
-// TransportFlow returns the src->dst port flow.
-func (t *TCP) TransportFlow() Flow {
-	return NewFlow(NewTCPPortEndpoint(t.SrcPort), NewTCPPortEndpoint(t.DstPort))
-}
-
 // SerializeTo prepends the TCP header. Checksum computation requires a
 // network layer to have been provided via SetNetworkLayerForChecksum.
 func (t *TCP) SerializeTo(b *SerializeBuffer) error {
@@ -248,11 +243,6 @@ func (u *UDP) DecodeFromBytes(data []byte) error {
 	}
 	u.payload = data[UDPHeaderLen:end]
 	return nil
-}
-
-// TransportFlow returns the src->dst port flow.
-func (u *UDP) TransportFlow() Flow {
-	return NewFlow(NewUDPPortEndpoint(u.SrcPort), NewUDPPortEndpoint(u.DstPort))
 }
 
 // SerializeTo prepends the UDP header.

@@ -9,8 +9,8 @@
 # fails if benchmark code no longer compiles, a short fuzz smoke over
 # the wire-format parsers (seed corpus plus a few seconds of mutation —
 # enough to catch regressions in the option/length walkers — plus the
-# flow-store segment codec, the sketch merge operators, the sim
-# kernel's FIFO-stream-vs-AtArg differential, the crcline frame codec
+# flow-store segment codec, the sim kernel's FIFO-stream-vs-AtArg
+# differential, the crcline frame codec
 # shared by the WAL, the ring and provenance traces, the fault and
 # storage-fault plan parsers behind -faults and -store-chaos, and the
 # traffic generator's per-flow TCP header templates against its layered
@@ -83,7 +83,6 @@ go test -run='^$' -fuzz='^FuzzTCPOptions$' -fuzztime=5s ./internal/wire
 go test -run='^$' -fuzz='^FuzzParsePolicy$' -fuzztime=5s ./internal/remedy
 go test -run='^$' -fuzz='^FuzzLanePartition$' -fuzztime=5s ./internal/lanes
 go test -run='^$' -fuzz='^FuzzSegmentCodec$' -fuzztime=5s ./internal/flowstore
-go test -run='^$' -fuzz='^FuzzSketchMerge$' -fuzztime=5s ./internal/sketch
 go test -run='^$' -fuzz='^FuzzRingSegment$' -fuzztime=5s ./internal/livemon
 go test -run='^$' -fuzz='^FuzzScan$' -fuzztime=5s ./internal/crcline
 go test -run='^$' -fuzz='^FuzzFIFOMatchesAtArg$' -fuzztime=5s ./internal/sim
